@@ -26,9 +26,11 @@
 //       the version-2 study flag; the printed answers are byte-identical
 //       either way.
 //
-//   run_study_cli serve --snapshot [NAME=]FILE [--workers N] [--queue N]
-//                       [--cache-budget N] [--study NAME]
-//                       [--queries FILE | --listen PORT [--bind ADDR]]
+//   run_study_cli serve --snapshot [NAME=]FILE [--cache-budget N]
+//                       [--study NAME] [--queries FILE] [--workers N]
+//                       [--queue N]
+//   run_study_cli serve --snapshot [NAME=]FILE [--cache-budget N]
+//                       --listen PORT [--bind ADDR]
 //       --snapshot is repeatable: `NAME=FILE` hosts several studies behind
 //       one endpoint sharing a path arena and one classify-cache budget
 //       (--cache-budget entries total, rebalanced by per-study hit rates).
@@ -38,8 +40,11 @@
 //       stats. Overloaded submissions are reported as "rejected (queue
 //       full)". With --listen: serves OracleWire over TCP until
 //       SIGINT/SIGTERM, then drains gracefully and prints wire + service
-//       stats. --listen 0 picks an ephemeral port (printed on startup).
-//       --bind defaults to 127.0.0.1; use 0.0.0.0 to accept remote hosts.
+//       stats. Each request is answered on the server's poll thread, so
+//       there is no worker pool or queue to size: --workers and --queue are
+//       usage errors with --listen. --listen 0 picks an ephemeral port
+//       (printed on startup). --bind defaults to 127.0.0.1; use 0.0.0.0 to
+//       accept remote hosts.
 //
 // --scale multiplies the edge population (stubs and access ISPs); the
 // default (1) matches the paper-calibrated configuration. --threads runs
@@ -80,10 +85,11 @@ namespace {
       "       %s snapshot --out FILE [--seed N] [--scale N] [--threads N]\n"
       "       %s query {--snapshot [NAME=]FILE ... | --connect HOST:PORT}\n"
       "          [--study NAME] [--queries FILE]\n"
-      "       %s serve --snapshot [NAME=]FILE ... [--workers N] [--queue N]\n"
-      "          [--cache-budget N] [--study NAME]\n"
-      "          [--queries FILE | --listen PORT [--bind ADDR]]\n",
-      argv0, argv0, argv0, argv0);
+      "       %s serve --snapshot [NAME=]FILE ... [--cache-budget N]\n"
+      "          [--study NAME] [--queries FILE] [--workers N] [--queue N]\n"
+      "       %s serve --snapshot [NAME=]FILE ... [--cache-budget N]\n"
+      "          --listen PORT [--bind ADDR]\n",
+      argv0, argv0, argv0, argv0, argv0);
   std::exit(2);
 }
 
@@ -356,12 +362,15 @@ void print_service_stats(const OracleStatsView& stats) {
 }
 
 /// `serve --listen`: OracleWire over TCP until SIGINT/SIGTERM, then a
-/// graceful drain (accepted requests answered, new connections refused).
+/// graceful drain (requests already read answered, new connections
+/// refused). The poll thread answers every request itself, so the service
+/// runs without workers.
 int serve_network(const StudyCatalog& catalog,
                   OracleService::Config service_cfg,
                   OracleServer::Config server_cfg) {
-  // Block the shutdown signals before any thread exists so the worker and
-  // poll threads inherit the mask and sigwait() below is race-free.
+  service_cfg.worker_threads = 0;
+  // Block the shutdown signals before any thread exists so the poll thread
+  // inherits the mask and sigwait() below is race-free.
   sigset_t signals;
   sigemptyset(&signals);
   sigaddset(&signals, SIGINT);
@@ -371,18 +380,17 @@ int serve_network(const StudyCatalog& catalog,
   OracleService service(&catalog, service_cfg);
   OracleServer server(&service, server_cfg);
   server.start();
-  std::printf("oracle serving %zu stud%s on %s:%u (workers=%d queue=%zu); "
-              "SIGINT/SIGTERM drains and exits\n",
+  std::printf("oracle serving %zu stud%s on %s:%u (answered on the poll "
+              "thread); SIGINT/SIGTERM drains and exits\n",
               catalog.size(), catalog.size() == 1 ? "y" : "ies",
-              server_cfg.bind_address.c_str(), server.port(),
-              service_cfg.worker_threads, service_cfg.queue_capacity);
+              server_cfg.bind_address.c_str(), server.port());
   std::fflush(stdout);
 
   int sig = 0;
   sigwait(&signals, &sig);
   std::printf("signal %d: draining...\n", sig);
-  server.shutdown();   // Answers everything admitted, refuses new work.
-  service.shutdown();  // Then the worker pool drains and joins.
+  server.shutdown();  // Answers everything read, refuses new work.
+  service.shutdown();
 
   const WireServerStats wire = server.stats();
   std::printf(
@@ -418,7 +426,7 @@ int cmd_serve(int argc, char** argv) {
   service_config.worker_threads = 2;
   OracleServer::Config server_config;
   StudyCatalogConfig catalog_config;
-  bool listen = false;
+  bool listen = false, queue_flags = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -431,13 +439,15 @@ int cmd_serve(int argc, char** argv) {
       queries_file = next();
     else if (arg == "--study")
       study = next();
-    else if (arg == "--workers")
+    else if (arg == "--workers") {
+      queue_flags = true;
       service_config.worker_threads =
           static_cast<int>(u64_flag(argv[0], "--workers", next(), 1, 4096));
-    else if (arg == "--queue")
+    } else if (arg == "--queue") {
+      queue_flags = true;
       service_config.queue_capacity = static_cast<std::size_t>(
           u64_flag(argv[0], "--queue", next(), 1, 100'000'000));
-    else if (arg == "--cache-budget")
+    } else if (arg == "--cache-budget")
       catalog_config.total_cache_capacity = static_cast<std::size_t>(
           u64_flag(argv[0], "--cache-budget", next(), 0, 100'000'000));
     else if (arg == "--listen") {
@@ -451,6 +461,12 @@ int cmd_serve(int argc, char** argv) {
   }
   if (snapshots.empty()) usage(argv[0]);
   if (listen && !queries_file.empty()) usage(argv[0]);
+  if (listen && queue_flags) {
+    std::fprintf(stderr,
+                 "error: --workers and --queue size the --queries worker "
+                 "pool; --listen answers on its poll thread\n");
+    usage(argv[0]);
+  }
 
   StudyCatalog catalog(catalog_config);
   load_catalog(catalog, snapshots);

@@ -17,9 +17,9 @@
 //     Never retried: a peer that corrupts frames cannot be trusted with a
 //     resend.
 //   * OracleServerError — the server answered with a kError frame. Only
-//     kOverloaded and kShuttingDown are retried (backoff gives the admission
-//     queue time to empty); kMalformedRequest and kInternal escape at once
-//     since a resend would fail identically.
+//     kOverloaded and kShuttingDown are retried (backoff gives a server
+//     that sheds time to recover); kMalformedRequest and kInternal escape
+//     at once since a resend would fail identically.
 //
 // The client is single-threaded by design (one in-flight request per
 // instance); share load by creating one client per thread, as

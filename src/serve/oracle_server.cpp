@@ -8,17 +8,29 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <list>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "util/check.hpp"
 
 namespace irp {
 namespace {
+
+/// Per-connection cap on response bytes queued but not yet sent. Above it
+/// the poll loop stops reading that connection, so TCP flow control pushes
+/// back on a client that does not read its replies; nothing is dropped.
+/// Large enough that a pipelining client never stalls on it.
+constexpr std::size_t kMaxUnsentBytes = 256 * 1024;
+
+/// Bytes read from one connection per wake, so one fast client cannot
+/// starve the others.
+constexpr std::size_t kReadChunk = 64 * 1024;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -37,28 +49,28 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 }  // namespace
 
 struct OracleServer::Impl {
-  /// One admitted request whose service future has not resolved yet.
-  struct InFlight {
-    std::uint64_t request_id = 0;
-    QueryType type = QueryType::kClassify;
-    std::future<OracleResponse> response;
-    std::chrono::steady_clock::time_point decoded;
-  };
-
   struct Connection {
     int fd = -1;
     std::string in_buf;
+    std::size_t in_off = 0;   ///< in_buf bytes already decoded.
     std::string out_buf;
-    std::list<InFlight> inflight;
+    std::size_t out_off = 0;  ///< out_buf bytes already sent.
     bool read_closed = false;  ///< Peer EOF, poisoned stream, or draining;
                                ///< the connection closes once fully flushed.
+    bool dead = false;         ///< Send failed; reaped without flushing.
+
+    std::size_t unsent() const { return out_buf.size() - out_off; }
+    /// Backpressure: a connection over the unsent-bytes cap is not read
+    /// (nor its buffered frames decoded) until its peer drains replies.
+    bool throttled() const { return unsent() >= kMaxUnsentBytes; }
   };
 
   int listen_fd = -1;
   int wake_read = -1;
   int wake_write = -1;
   std::uint16_t bound_port = 0;
-  std::list<Connection> connections;
+  std::vector<Connection> connections;
+  std::vector<pollfd> fds;  ///< Rebuilt in place every wake.
   std::mutex shutdown_mu;
 
   struct PerType {
@@ -71,22 +83,22 @@ struct OracleServer::Impl {
   std::atomic<std::uint64_t> frames_in{0};
   std::atomic<std::uint64_t> frames_out{0};
   std::atomic<std::uint64_t> requests_admitted{0};
-  std::atomic<std::uint64_t> requests_shed{0};
   std::atomic<std::uint64_t> requests_unknown_study{0};
   std::atomic<std::uint64_t> decode_errors{0};
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
   std::array<PerType, kNumQueryTypes> per_type;
 
-  void close_connection(std::list<Connection>::iterator it) {
-    ::close(it->fd);
-    connections.erase(it);
-    connections_closed.fetch_add(1, std::memory_order_relaxed);
+  /// Counts first, then closes: a peer that sees EOF must also see the
+  /// count. Every counter here is bumped before its effect is visible.
+  void close_fd(int fd, std::atomic<std::uint64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+    ::close(fd);
   }
 
-  void queue_frame(Connection& conn, std::string frame_bytes) {
-    conn.out_buf += frame_bytes;
+  void queue_frame(Connection& conn, const std::string& frame_bytes) {
     frames_out.fetch_add(1, std::memory_order_relaxed);
+    conn.out_buf += frame_bytes;
   }
 };
 
@@ -155,6 +167,10 @@ void OracleServer::shutdown() {
   const char byte = 1;
   [[maybe_unused]] ssize_t n = ::write(impl_->wake_write, &byte, 1);
   thread_.join();
+  // Closed only after the join: the poll thread may see stopping_ and exit
+  // before the write above, and the pipe must still be open for it.
+  ::close(impl_->wake_read);
+  ::close(impl_->wake_write);
 }
 
 WireServerStats OracleServer::stats() const {
@@ -166,7 +182,6 @@ WireServerStats OracleServer::stats() const {
   s.frames_in = im.frames_in.load();
   s.frames_out = im.frames_out.load();
   s.requests_admitted = im.requests_admitted.load();
-  s.requests_shed = im.requests_shed.load();
   s.requests_unknown_study = im.requests_unknown_study.load();
   s.decode_errors = im.decode_errors.load();
   s.bytes_in = im.bytes_in.load();
@@ -185,90 +200,140 @@ void OracleServer::poll_loop() {
   bool draining = false;
   Clock::time_point drain_deadline{};
 
-  // Decodes every complete frame in conn.in_buf; requests go to the
-  // service, sheds and malformed payloads get error frames. A framing-level
-  // decode error poisons the connection (one error frame, then close).
-  auto consume_input = [&](Impl::Connection& conn) {
+  // Answers one request frame on this thread: decode -> evaluate -> encode
+  // -> append to the connection's output.
+  auto answer_frame = [&](Impl::Connection& conn, const WireFrame& frame) {
+    if (!is_request_frame(frame.type)) {
+      im.decode_errors.fetch_add(1, std::memory_order_relaxed);
+      im.queue_frame(conn, encode_error(frame.request_id,
+                                        WireErrorCode::kMalformedRequest,
+                                        "expected a request frame, got " +
+                                            std::string(frame_type_name(
+                                                frame.type))));
+      return;
+    }
+    OracleRequest request;
     try {
-      while (auto frame =
-                 try_decode_frame(conn.in_buf, config_.max_frame_payload)) {
-        im.frames_in.fetch_add(1, std::memory_order_relaxed);
-        if (!is_request_frame(frame->type)) {
-          im.decode_errors.fetch_add(1, std::memory_order_relaxed);
-          im.queue_frame(conn, encode_error(
-                                   frame->request_id,
-                                   WireErrorCode::kMalformedRequest,
-                                   "expected a request frame, got " +
-                                       std::string(frame_type_name(
-                                           frame->type))));
-          continue;
-        }
-        OracleRequest request;
-        try {
-          request = decode_request(*frame);
-        } catch (const WireDecodeError& e) {
-          im.decode_errors.fetch_add(1, std::memory_order_relaxed);
-          im.queue_frame(conn,
-                         encode_error(frame->request_id,
-                                      WireErrorCode::kMalformedRequest,
-                                      e.what()));
-          continue;
-        }
-        const QueryType type = query_type(request);
-        OracleService::Submitted submitted =
-            service_->submit(std::move(request), frame->study);
-        if (!submitted.accepted) {
-          if (submitted.reject == OracleService::Reject::kUnknownStudy) {
-            im.requests_unknown_study.fetch_add(1, std::memory_order_relaxed);
-            im.queue_frame(conn,
-                           encode_error(frame->request_id,
+      request = decode_request(frame);
+    } catch (const WireDecodeError& e) {
+      im.decode_errors.fetch_add(1, std::memory_order_relaxed);
+      im.queue_frame(conn, encode_error(frame.request_id,
+                                        WireErrorCode::kMalformedRequest,
+                                        e.what()));
+      return;
+    }
+    const auto decoded = Clock::now();
+    OracleResponse response;
+    try {
+      response = service_->serve(request, frame.study);
+    } catch (const UnknownStudyError&) {
+      im.requests_unknown_study.fetch_add(1, std::memory_order_relaxed);
+      im.queue_frame(conn, encode_error(frame.request_id,
                                         WireErrorCode::kUnknownStudy,
-                                        "unknown study '" + frame->study +
-                                            "'"));
-          } else {
-            im.requests_shed.fetch_add(1, std::memory_order_relaxed);
-            im.queue_frame(conn, encode_error(frame->request_id,
-                                              WireErrorCode::kOverloaded,
-                                              "service queue full"));
-          }
-          continue;
-        }
-        im.requests_admitted.fetch_add(1, std::memory_order_relaxed);
-        Impl::InFlight in_flight;
-        in_flight.request_id = frame->request_id;
-        in_flight.type = type;
-        in_flight.response = std::move(submitted.response);
-        in_flight.decoded = Clock::now();
-        conn.inflight.push_back(std::move(in_flight));
+                                        "unknown study '" + frame.study + "'"));
+      return;
+    } catch (const std::exception& e) {
+      im.requests_admitted.fetch_add(1, std::memory_order_relaxed);
+      im.queue_frame(conn, encode_error(frame.request_id,
+                                        WireErrorCode::kInternal, e.what()));
+      return;
+    }
+    im.requests_admitted.fetch_add(1, std::memory_order_relaxed);
+    const std::string bytes = encode_response(frame.request_id, response);
+    Impl::PerType& pt = im.per_type[static_cast<int>(query_type(request))];
+    pt.latency.record(elapsed_ns(decoded));
+    pt.answered.fetch_add(1, std::memory_order_relaxed);
+    im.queue_frame(conn, bytes);
+  };
+
+  // Answers the complete frames buffered on `conn` until they run out
+  // (false) or the unsent-bytes cap stops it with frames maybe left (true).
+  // A framing-level decode error poisons the connection: one error frame,
+  // then close once flushed.
+  auto consume_input = [&](Impl::Connection& conn) -> bool {
+    try {
+      for (;;) {
+        if (conn.throttled()) return true;
+        std::size_t consumed = 0;
+        const std::optional<WireFrame> frame = try_decode_frame_at(
+            std::string_view(conn.in_buf).substr(conn.in_off), &consumed,
+            config_.max_frame_payload);
+        if (!frame) return false;
+        conn.in_off += consumed;
+        im.frames_in.fetch_add(1, std::memory_order_relaxed);
+        answer_frame(conn, *frame);
       }
     } catch (const WireDecodeError& e) {
-      // Framing is gone; no resynchronization is possible. One diagnostic
-      // error frame, then hard-close once it flushes.
+      // Framing is gone; no resynchronization is possible.
       im.decode_errors.fetch_add(1, std::memory_order_relaxed);
       im.queue_frame(conn, encode_error(0, WireErrorCode::kMalformedRequest,
                                         e.what()));
       conn.in_buf.clear();
+      conn.in_off = 0;
       conn.read_closed = true;
+      return false;
     }
   };
 
-  auto flush_output = [&](Impl::Connection& conn) -> bool {
-    while (!conn.out_buf.empty()) {
-      const ssize_t n = ::send(conn.fd, conn.out_buf.data(),
-                               conn.out_buf.size(), MSG_NOSIGNAL);
+  // Sends as much output as the socket takes; marks the connection dead
+  // when the peer is gone.
+  auto flush_output = [&](Impl::Connection& conn) {
+    while (conn.unsent() > 0) {
+      const ssize_t n = ::send(conn.fd, conn.out_buf.data() + conn.out_off,
+                               conn.unsent(), MSG_NOSIGNAL);
       if (n > 0) {
+        conn.out_off += static_cast<std::size_t>(n);
         im.bytes_out.fetch_add(static_cast<std::uint64_t>(n),
                                std::memory_order_relaxed);
-        conn.out_buf.erase(0, static_cast<std::size_t>(n));
-      } else if (errno == EINTR) {
+      } else if (n < 0 && errno == EINTR) {
         continue;  // Interrupted before any byte moved; just retry.
-      } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return true;
+      } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        // A client that reads slowly but steadily never empties the buffer;
+        // reclaim the sent prefix once it outweighs what is left to send.
+        if (conn.out_off > conn.unsent()) {
+          conn.out_buf.erase(0, conn.out_off);
+          conn.out_off = 0;
+        }
+        return;
       } else {
-        return false;  // Peer gone; caller drops the connection.
+        conn.dead = true;  // Peer gone; the reaper drops the connection.
+        return;
       }
     }
-    return true;
+    conn.out_buf.clear();
+    conn.out_off = 0;
+  };
+
+  // Answer, then send, until the buffered frames run out or the socket
+  // stops taking bytes with the connection at its cap.
+  auto serve_connection = [&](Impl::Connection& conn) {
+    for (;;) {
+      const bool more = consume_input(conn);
+      flush_output(conn);
+      if (!more || conn.dead || conn.throttled()) return;
+    }
+  };
+
+  // Reads at most one chunk; sets read_closed when the peer sends no more.
+  auto read_chunk = [&](Impl::Connection& conn) {
+    // Drop the decoded prefix first, so in_buf holds at most one partial
+    // frame plus this chunk.
+    conn.in_buf.erase(0, conn.in_off);
+    conn.in_off = 0;
+    char buf[kReadChunk];
+    for (;;) {
+      const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
+      if (n > 0) {
+        im.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
+                              std::memory_order_relaxed);
+        conn.in_buf.append(buf, static_cast<std::size_t>(n));
+      } else if (n < 0 && errno == EINTR) {
+        continue;  // A signal is not a peer disconnect; retry the read.
+      } else if (n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK)) {
+        conn.read_closed = true;
+      }
+      return;
+    }
   };
 
   for (;;) {
@@ -280,146 +345,93 @@ void OracleServer::poll_loop() {
         ::close(im.listen_fd);
         im.listen_fd = -1;
       }
-      // Stop reading everywhere: requests not yet admitted are refused by
-      // the drain contract; admitted ones below are still answered.
+      // Stop reading everywhere. Requests already read are answered.
       for (Impl::Connection& conn : im.connections) conn.read_closed = true;
     }
 
-    // Completion sweep: move resolved service futures into output buffers.
-    bool any_inflight = false;
-    for (Impl::Connection& conn : im.connections) {
-      for (auto it = conn.inflight.begin(); it != conn.inflight.end();) {
-        if (it->response.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          any_inflight = true;
-          ++it;
-          continue;
-        }
-        std::string frame_bytes;
-        try {
-          const OracleResponse response = it->response.get();
-          frame_bytes = encode_response(it->request_id, response);
-          Impl::PerType& pt = im.per_type[static_cast<int>(it->type)];
-          pt.latency.record(elapsed_ns(it->decoded));
-          pt.answered.fetch_add(1, std::memory_order_relaxed);
-        } catch (const std::exception& e) {
-          frame_bytes = encode_error(it->request_id,
-                                     WireErrorCode::kInternal, e.what());
-        }
-        im.queue_frame(conn, std::move(frame_bytes));
-        it = conn.inflight.erase(it);
-      }
-    }
-
-    // Flush + reap. A connection dies when the peer vanished, or when it is
-    // fully served (no reads coming, nothing in flight, all bytes out).
+    // Reap. A connection dies when the peer vanished, or when it is fully
+    // served (no reads coming, every buffered frame answered, all bytes
+    // out), or when the drain deadline passed.
     const bool past_deadline = draining && Clock::now() >= drain_deadline;
-    for (auto it = im.connections.begin(); it != im.connections.end();) {
-      if (!flush_output(*it)) {
-        im.close_connection(it++);
-        continue;
-      }
-      const bool done = it->read_closed && it->inflight.empty() &&
-                        it->out_buf.empty();
-      if (done || past_deadline) {
-        im.close_connection(it++);
-        continue;
-      }
-      ++it;
-    }
+    std::erase_if(im.connections, [&](const Impl::Connection& conn) {
+      const bool done = conn.read_closed && conn.unsent() == 0;
+      if (!(conn.dead || done || past_deadline)) return false;
+      im.close_fd(conn.fd, im.connections_closed);
+      return true;
+    });
     if (draining && im.connections.empty()) break;
 
     // Poll: listen + wake pipe + every connection.
-    std::vector<pollfd> fds;
-    std::vector<Impl::Connection*> fd_conns;
-    if (im.listen_fd >= 0)
-      fds.push_back(pollfd{im.listen_fd, POLLIN, 0});
-    const std::size_t wake_slot = fds.size();
-    fds.push_back(pollfd{im.wake_read, POLLIN, 0});
-    for (Impl::Connection& conn : im.connections) {
+    im.fds.clear();
+    if (im.listen_fd >= 0) im.fds.push_back(pollfd{im.listen_fd, POLLIN, 0});
+    const std::size_t wake_slot = im.fds.size();
+    im.fds.push_back(pollfd{im.wake_read, POLLIN, 0});
+    const std::size_t polled = im.connections.size();
+    for (const Impl::Connection& conn : im.connections) {
       short events = 0;
-      if (!conn.read_closed) events |= POLLIN;
-      if (!conn.out_buf.empty()) events |= POLLOUT;
-      fds.push_back(pollfd{conn.fd, events, 0});
-      fd_conns.push_back(&conn);
+      if (!conn.read_closed && !conn.throttled()) events |= POLLIN;
+      if (conn.unsent() > 0) events |= POLLOUT;
+      im.fds.push_back(pollfd{conn.fd, events, 0});
     }
-    // Pending futures resolve without waking any fd, so poll briefly while
-    // any exist; otherwise sleep until traffic or the wake pipe.
-    const int timeout_ms = any_inflight ? 1 : (draining ? 10 : 200);
-    const int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+    // Nothing completes behind the loop's back, so it sleeps until traffic,
+    // the wake pipe, or the drain deadline.
+    int timeout_ms = -1;
+    if (draining)
+      timeout_ms = static_cast<int>(std::max<std::int64_t>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(drain_deadline -
+                                                          Clock::now())
+                 .count()));
+    const int ready = ::poll(im.fds.data(), static_cast<nfds_t>(im.fds.size()),
                              timeout_ms);
     if (ready < 0 && errno != EINTR) break;  // Unrecoverable poll failure.
+    if (ready <= 0) continue;
 
-    if (fds[wake_slot].revents & POLLIN) {
+    if (im.fds[wake_slot].revents & POLLIN) {
       char sink[64];
       while (::read(im.wake_read, sink, sizeof sink) > 0) {
       }
     }
 
+    // Connections, in poll order; the ones accepted below join next wake.
+    for (std::size_t i = 0; i < polled; ++i) {
+      const short revents = im.fds[wake_slot + 1 + i].revents;
+      if (revents == 0) continue;
+      Impl::Connection& conn = im.connections[i];
+      // POLLHUP with frames still queued: stop reading but keep flushing —
+      // the peer may only have half-closed its write side.
+      if (revents & (POLLERR | POLLHUP | POLLNVAL)) conn.read_closed = true;
+      if ((revents & POLLIN) && !conn.read_closed) read_chunk(conn);
+      serve_connection(conn);
+    }
+
     // Accept new connections (refused outright above the connection cap).
-    if (im.listen_fd >= 0 && (fds[0].revents & POLLIN)) {
+    if (im.listen_fd >= 0 && (im.fds[0].revents & POLLIN)) {
       for (;;) {
         const int conn_fd = ::accept(im.listen_fd, nullptr, nullptr);
         if (conn_fd < 0) break;
         if (im.connections.size() >=
             static_cast<std::size_t>(config_.max_connections)) {
-          ::close(conn_fd);
-          im.connections_refused.fetch_add(1, std::memory_order_relaxed);
+          im.close_fd(conn_fd, im.connections_refused);
           continue;
         }
         set_nonblocking(conn_fd);
         const int one = 1;
         ::setsockopt(conn_fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        Impl::Connection conn;
-        conn.fd = conn_fd;
-        im.connections.push_back(std::move(conn));
         im.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+        Impl::Connection& conn = im.connections.emplace_back();
+        conn.fd = conn_fd;
       }
-    }
-
-    // Reads. fd_conns indexes connections as they were when fds was built;
-    // reaping happens at the top of the next iteration, so iterators stay
-    // valid through this loop.
-    for (std::size_t i = 0; i < fd_conns.size(); ++i) {
-      const pollfd& pfd = fds[wake_slot + 1 + i];
-      Impl::Connection& conn = *fd_conns[i];
-      // POLLHUP with frames still queued: stop reading but keep flushing —
-      // the peer may only have half-closed its write side.
-      if (pfd.revents & (POLLERR | POLLHUP | POLLNVAL))
-        conn.read_closed = true;
-      if (!(pfd.revents & POLLIN) || conn.read_closed) continue;
-      char buf[65536];
-      for (;;) {
-        const ssize_t n = ::recv(conn.fd, buf, sizeof buf, 0);
-        if (n > 0) {
-          im.bytes_in.fetch_add(static_cast<std::uint64_t>(n),
-                                std::memory_order_relaxed);
-          conn.in_buf.append(buf, static_cast<std::size_t>(n));
-        } else if (n == 0) {
-          conn.read_closed = true;
-          break;
-        } else if (errno == EINTR) {
-          continue;  // A signal is not a peer disconnect; retry the read.
-        } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          break;
-        } else {
-          conn.read_closed = true;
-          break;
-        }
-      }
-      if (!conn.in_buf.empty()) consume_input(conn);
     }
   }
 
   // Teardown: whatever survived the drain deadline closes now.
-  for (auto it = im.connections.begin(); it != im.connections.end();)
-    im.close_connection(it++);
+  for (const Impl::Connection& conn : im.connections)
+    im.close_fd(conn.fd, im.connections_closed);
+  im.connections.clear();
   if (im.listen_fd >= 0) {
     ::close(im.listen_fd);
     im.listen_fd = -1;
   }
-  ::close(im.wake_read);
-  ::close(im.wake_write);
 }
 
 }  // namespace irp

@@ -1,13 +1,19 @@
 // OracleWire server: a poll(2)-driven multi-client TCP front for
 // OracleService.
 //
-// One background thread owns every socket. It accepts connections, reads
-// and frame-decodes requests (wire.hpp), and feeds them straight into the
-// OracleService admission queue — the server adds no queueing of its own,
-// so the service's bounded MPMC queue remains the single source of
-// backpressure truth. When admission control sheds a request, the client
-// receives an explicit kOverloaded error frame instead of a stalled or
-// dropped connection; the socket stays healthy and the client can retry.
+// One background thread owns every socket and runs each request to
+// completion: it accepts connections, reads and frame-decodes requests
+// (wire.hpp), evaluates each one through OracleService::serve(), encodes
+// the answer and appends it to the connection's output, all in the same
+// wake. Nothing queues between the socket and the index, the service needs
+// no worker threads, and the loop sleeps in poll() until traffic, the wake
+// pipe, or the drain deadline.
+//
+// Overload is TCP backpressure, not shedding. Each connection may hold a
+// fixed number of unsent reply bytes; above it the loop stops reading that
+// connection until its client reads, so the client's sends block while
+// every other connection is served. No request is dropped and the server
+// never emits kOverloaded (the code stays reserved in the protocol).
 //
 // Robustness rules (all tested in test_oracle_server):
 //   * Malformed bytes — bad magic, wrong version, oversized or corrupt
@@ -20,16 +26,17 @@
 //   * Connections beyond `max_connections` are accepted and immediately
 //     closed (counted, never serviced).
 //   * shutdown() drains gracefully: the listen socket closes first (new
-//     connections refused), every request already admitted to the service
-//     is answered and flushed, then connections close. A drain deadline
-//     bounds how long a non-reading client can hold shutdown hostage.
+//     connections refused), every request already read is answered and
+//     flushed, then connections close. A drain deadline bounds how long a
+//     non-reading client can hold shutdown hostage.
 //
 // Observability: WireServerStats counts connections (accepted / refused /
-// closed), frames and bytes in both directions, admitted vs shed requests
-// and decode errors, and per-query-type wire latency histograms measured
-// from frame decode to response enqueue — i.e. including the service queue
-// wait, which is exactly the number a remote caller experiences on top of
-// raw evaluation (OracleStatsView has the service-side view).
+// closed), frames and bytes in both directions, admitted requests and
+// decode errors, and per-query-type wire latency histograms measured from
+// frame decode to response queued (evaluation plus encoding; OracleStatsView
+// has the evaluation-only view). Each counter is bumped before the effect
+// it counts is visible to a peer, so a client that saw a reply, an EOF or
+// an error frame also sees it counted.
 #pragma once
 
 #include <array>
@@ -56,17 +63,19 @@ struct WireServerStats {
   std::uint64_t connections_closed = 0;
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
-  std::uint64_t requests_admitted = 0;  ///< Passed service admission control.
-  std::uint64_t requests_shed = 0;      ///< kOverloaded error frames sent.
+  std::uint64_t requests_admitted = 0;  ///< Evaluated against a hosted study.
+  std::uint64_t requests_shed = 0;  ///< kOverloaded frames sent; always 0
+                                    ///< (overload is backpressure).
   std::uint64_t requests_unknown_study = 0;  ///< kUnknownStudy frames sent.
   std::uint64_t decode_errors = 0;      ///< Connections poisoned by bad bytes.
   std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
+  std::uint64_t bytes_out = 0;  ///< Counted as each send() returns.
   std::array<PerType, kNumQueryTypes> per_type{};
 };
 
 /// TCP front for one OracleService. The service (and its index/snapshot)
-/// must outlive the server.
+/// must outlive the server; it may run with worker_threads == 0, since the
+/// server never uses its queue.
 class OracleServer {
  public:
   struct Config {
@@ -98,8 +107,8 @@ class OracleServer {
   /// The actually bound TCP port (resolves port == 0); valid after start().
   std::uint16_t port() const;
 
-  /// Graceful drain: refuses new connections, answers every admitted
-  /// request, flushes and closes every connection (bounded by
+  /// Graceful drain: refuses new connections, answers every request
+  /// already read, flushes and closes every connection (bounded by
   /// drain_timeout_ms), joins the poll thread. Idempotent.
   void shutdown();
 

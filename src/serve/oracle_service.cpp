@@ -1,6 +1,8 @@
 #include "serve/oracle_service.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <sstream>
 
 #include "util/check.hpp"
@@ -118,12 +120,26 @@ std::string to_text(const OracleResponse& response) {
   return renderer.out.str();
 }
 
+int LatencyHistogram::bucket_of(std::uint64_t nanos) {
+  if (nanos < kSubBuckets) return static_cast<int>(nanos);
+  // nanos in octave [2^e, 2^(e+1)); its top kSubBits bits below the leading
+  // one pick the sub-bucket.
+  const int e = static_cast<int>(std::bit_width(nanos)) - 1;
+  const int sub = static_cast<int>((nanos >> (e - kSubBits)) &
+                                   (kSubBuckets - 1));
+  return kSubBuckets * (e - kSubBits + 1) + sub;
+}
+
+std::uint64_t LatencyHistogram::bucket_max(int bucket) {
+  if (bucket < kSubBuckets) return static_cast<std::uint64_t>(bucket);
+  const int e = bucket / kSubBuckets + kSubBits - 1;
+  const std::uint64_t sub = static_cast<std::uint64_t>(bucket % kSubBuckets);
+  const std::uint64_t width = std::uint64_t{1} << (e - kSubBits);
+  return (std::uint64_t{1} << e) + (sub + 1) * width - 1;
+}
+
 void LatencyHistogram::record(std::uint64_t nanos) {
-  const int bucket =
-      nanos == 0
-          ? 0
-          : std::min(kBuckets - 1, static_cast<int>(std::bit_width(nanos)) - 1);
-  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket_of(nanos)].fetch_add(1, std::memory_order_relaxed);
 }
 
 std::uint64_t LatencyHistogram::count() const {
@@ -135,15 +151,12 @@ std::uint64_t LatencyHistogram::count() const {
 double LatencyHistogram::quantile_us(double q) const {
   const std::uint64_t total = count();
   if (total == 0) return 0;
-  const std::uint64_t target =
-      std::max<std::uint64_t>(1, static_cast<std::uint64_t>(q * double(total)));
+  const std::uint64_t target = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * double(total))), 1, total);
   std::uint64_t seen = 0;
   for (int i = 0; i < kBuckets; ++i) {
     seen += buckets_[i].load(std::memory_order_relaxed);
-    if (seen >= target) {
-      // Upper bound of bucket i is 2^(i+1) ns.
-      return double(std::uint64_t{1} << std::min(i + 1, 62)) / 1000.0;
-    }
+    if (seen >= target) return double(bucket_max(i)) / 1000.0;
   }
   return 0;
 }
@@ -207,31 +220,51 @@ OracleResponse OracleService::answer(const OracleRequest& request,
   return std::visit(Evaluator{index}, request);
 }
 
-void OracleService::serve_one(Pending& pending) {
-  const QueryType type = query_type(pending.request);
-  TypeCounters& counters = counters_[static_cast<int>(type)];
-  TypeCounters& study_counters = *study_counters_[pending.study_ordinal];
-  try {
-    OracleResponse response =
-        std::visit(Evaluator{pending.index}, pending.request);
-    const auto done = std::chrono::steady_clock::now();
-    const auto nanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(done -
-                                                             pending.enqueued)
-            .count());
-    counters.latency.record(nanos);
-    counters.served.fetch_add(1, std::memory_order_relaxed);
-    study_counters.latency.record(nanos);
-    study_counters.served.fetch_add(1, std::memory_order_relaxed);
-    pending.promise.set_value(std::move(response));
-  } catch (...) {
-    pending.promise.set_exception(std::current_exception());
+OracleResponse OracleService::serve(const OracleRequest& request,
+                                    std::string_view study) {
+  const auto since = std::chrono::steady_clock::now();
+  std::uint32_t ordinal = 0;
+  const OracleIndex* index = resolve(study, &ordinal);
+  if (index == nullptr) {
+    unknown_study_.fetch_add(1, std::memory_order_relaxed);
+    throw UnknownStudyError(study);
   }
+  return serve_resolved(request, index, ordinal, since);
+}
+
+OracleResponse OracleService::serve_resolved(
+    const OracleRequest& request, const OracleIndex* index,
+    std::uint32_t study_ordinal,
+    std::chrono::steady_clock::time_point since) {
+  OracleResponse response = std::visit(Evaluator{index}, request);
+  const auto nanos = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+  TypeCounters& counters = counters_[static_cast<int>(query_type(request))];
+  TypeCounters& study_counters = *study_counters_[study_ordinal];
+  counters.latency.record(nanos);
+  counters.served.fetch_add(1, std::memory_order_relaxed);
+  study_counters.latency.record(nanos);
+  study_counters.served.fetch_add(1, std::memory_order_relaxed);
+  // Rebalance before the answer leaves, so a caller that sees the answer
+  // also sees the quotas it moved.
   if (config_.cache_rebalance_every > 0 && catalog_ != nullptr) {
     const std::uint64_t served =
         served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (served % config_.cache_rebalance_every == 0)
       catalog_->rebalance_cache();
+  }
+  return response;
+}
+
+void OracleService::serve_one(Pending& pending) {
+  try {
+    pending.promise.set_value(serve_resolved(pending.request, pending.index,
+                                             pending.study_ordinal,
+                                             pending.enqueued));
+  } catch (...) {
+    pending.promise.set_exception(std::current_exception());
   }
 }
 

@@ -1,32 +1,38 @@
-// RouteOracle service front: typed queries, a bounded worker pool, and
-// admission control.
+// RouteOracle service front: typed queries, one counted evaluation path,
+// and an optional bounded worker pool with admission control.
 //
 // Four query classes cover what the paper answers one offline pass at a
 // time: ClassifyDecision (the §4 GR-validity ladder), AlternateRoutes (the
 // §3.2/§4.4 per-AS route diversity), PspVisibility (the §4.3 criteria
-// inputs) and RelationshipLookup (inference/sibling output). submit() runs
-// admission control against a bounded MPMC queue: when the queue is full the
-// request is rejected immediately with accepted == false — the service
-// prefers shedding load over unbounded growth or stalls. Accepted requests
-// are always answered, including during shutdown (workers drain the queue
-// before exiting).
+// inputs) and RelationshipLookup (inference/sibling output).
 //
-// Two execution modes:
+// Three entry points, one accounting path:
+//   * serve() evaluates on the calling thread and counts the request (per
+//     type, per study, latency, periodic cache rebalancing). It is what the
+//     network server calls for every decoded frame, so a wire request never
+//     queues between the socket and the index.
+//   * submit() runs admission control against a bounded MPMC queue: when
+//     the queue is full the request is rejected immediately with
+//     accepted == false. Accepted requests are always answered, including
+//     during shutdown, through the same counted path as serve().
+//   * answer() is the uncounted synchronous bypass (tools, ground truth).
+//
+// Two execution modes for the queue:
 //   * worker_threads >= 1 — background workers pop the queue and fulfil the
 //     response futures; clients pipeline as deep as the queue allows.
 //   * worker_threads == 0 — deterministic single-thread mode: nothing runs
 //     until the owner calls drain(), which serves queued requests in FIFO
 //     order on the calling thread. test_oracle_determinism proves the two
-//     modes produce byte-identical answers for the same query stream.
+//     modes produce byte-identical answers for the same query stream. A
+//     network server needs no workers at all (it calls serve()).
 //
 // Every answer is a pure function of the (immutable) index, so responses
 // are deterministic regardless of worker count, interleaving, or cache
 // state; timing-dependent values live only in OracleStatsView.
 //
 // Remote access: serve/oracle_server.hpp exposes this service over TCP via
-// the OracleWire protocol (serve/wire.hpp, spec in docs/PROTOCOL.md) with
-// the same admission-control semantics — a shed request becomes an explicit
-// overload error frame, and remote answers are byte-identical to local ones.
+// the OracleWire protocol (serve/wire.hpp, spec in docs/PROTOCOL.md);
+// remote answers are byte-identical to local ones.
 #pragma once
 
 #include <array>
@@ -132,17 +138,29 @@ std::string_view query_type_name(QueryType type);
 /// byte-comparison form of the determinism tests).
 std::string to_text(const OracleResponse& response);
 
-/// Lock-free power-of-two-bucketed latency histogram (nanosecond input).
+/// Lock-free log-linear latency histogram (nanosecond input): every power
+/// of two is split into kSubBuckets equal-width buckets, so a reported
+/// quantile is within 1/kSubBuckets (12.5%) of the true order statistic,
+/// and values below 2 * kSubBuckets ns are exact.
 class LatencyHistogram {
  public:
+  static constexpr int kSubBuckets = 8;
+
   void record(std::uint64_t nanos);
   std::uint64_t count() const;
-  /// Approximate quantile in microseconds (upper bound of the bucket that
-  /// crosses `q`); 0 when empty.
+  /// Approximate quantile in microseconds: the largest value of the bucket
+  /// holding the ceil(q * count)-th smallest sample; 0 when empty.
   double quantile_us(double q) const;
 
  private:
-  static constexpr int kBuckets = 48;
+  static constexpr int kSubBits = 3;  // log2(kSubBuckets).
+  static_assert(kSubBuckets == 1 << kSubBits);
+  /// Values below kSubBuckets get one bucket each; every octave
+  /// [2^e, 2^(e+1)) for e in [kSubBits, 63] gets kSubBuckets.
+  static constexpr int kBuckets = kSubBuckets * (64 - kSubBits + 1);
+  static int bucket_of(std::uint64_t nanos);
+  static std::uint64_t bucket_max(int bucket);
+
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
@@ -224,8 +242,16 @@ class OracleService {
   /// An id the service does not host rejects with Reject::kUnknownStudy.
   Submitted submit(OracleRequest request, std::string_view study);
 
-  /// Evaluates a query synchronously on the calling thread (bypasses the
-  /// queue; same deterministic answer the workers would produce).
+  /// Evaluates a query against study `study` ("" = default) on the calling
+  /// thread and counts it exactly as a queued request is counted when
+  /// served: per-type and per-study `served` and latency, and the
+  /// cache_rebalance_every tick. Throws UnknownStudyError (counted in
+  /// `unknown_study`) for ids the service does not host. Thread-safe; needs
+  /// no workers.
+  OracleResponse serve(const OracleRequest& request, std::string_view study);
+
+  /// Evaluates a query synchronously on the calling thread without counting
+  /// it (bypasses the queue and the stats; same deterministic answer).
   OracleResponse answer(const OracleRequest& request) const;
 
   /// Synchronous evaluation against study `study` ("" = default); throws
@@ -267,6 +293,12 @@ class OracleService {
   /// the per-study counter slot on success.
   const OracleIndex* resolve(std::string_view study,
                              std::uint32_t* ordinal) const;
+  /// The one counted evaluation: serve() and the queue both end here.
+  /// Latency runs from `since` to the finished answer.
+  OracleResponse serve_resolved(const OracleRequest& request,
+                                const OracleIndex* index,
+                                std::uint32_t study_ordinal,
+                                std::chrono::steady_clock::time_point since);
   void serve_one(Pending& pending);
   void worker_main();
 

@@ -313,8 +313,9 @@ std::string encode_frame(const WireFrame& frame) {
   return out;
 }
 
-std::optional<WireFrame> try_decode_frame(std::string& buffer,
-                                          std::size_t max_payload) {
+std::optional<WireFrame> try_decode_frame_at(std::string_view buffer,
+                                             std::size_t* consumed,
+                                             std::size_t max_payload) {
   if (buffer.size() < kWireHeaderBytes) return std::nullopt;
   ByteReader header{std::string_view(buffer).substr(0, kWireHeaderBytes),
                     std::string(kContext)};
@@ -349,10 +350,10 @@ std::optional<WireFrame> try_decode_frame(std::string& buffer,
   WireFrame frame;
   frame.type = static_cast<FrameType>(raw_type);
   frame.request_id = request_id;
-  frame.payload = buffer.substr(kWireHeaderBytes, payload_size);
+  frame.payload = std::string(buffer.substr(kWireHeaderBytes, payload_size));
   if (fnv1a64(frame.payload) != checksum)
     fail(WireFault::kChecksumMismatch, "payload corrupted in transit");
-  buffer.erase(0, kWireHeaderBytes + payload_size);
+  *consumed = kWireHeaderBytes + payload_size;
   if ((flags & kWireFlagStudy) != 0) {
     // Peel the study-id prefix off the (checksum-verified) payload. A prefix
     // that does not parse is a framing-level fault: the peer claimed the
@@ -367,6 +368,15 @@ std::optional<WireFrame> try_decode_frame(std::string& buffer,
            std::string("study-id prefix undecodable — ") + e.what());
     }
   }
+  return frame;
+}
+
+std::optional<WireFrame> try_decode_frame(std::string& buffer,
+                                          std::size_t max_payload) {
+  std::size_t consumed = 0;
+  std::optional<WireFrame> frame =
+      try_decode_frame_at(buffer, &consumed, max_payload);
+  if (frame) buffer.erase(0, consumed);
   return frame;
 }
 

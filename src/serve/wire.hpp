@@ -28,9 +28,10 @@
 //     the checksum. Callers must treat the stream as poisoned after any
 //     decode error (resynchronization is impossible by design).
 //   * kError frames carry a WireErrorCode + message instead of an answer;
-//     kOverloaded is the admission-control shed surfaced to the remote
-//     caller, kMalformedRequest reports a payload the server could frame-
-//     decode but not request-decode.
+//     kOverloaded is reserved for a server that refuses work for lack of
+//     capacity (the reference server applies backpressure instead),
+//     kMalformedRequest reports a payload the server could frame-decode but
+//     not request-decode.
 //
 // Version policy: the protocol is versioned as a whole; a receiver accepts
 // the closed range [kWireVersionMin, kWireVersion] and rejects the rest
@@ -94,7 +95,8 @@ std::string_view frame_type_name(FrameType type);
 
 /// Application-level error codes carried by kError frames.
 enum class WireErrorCode : std::uint8_t {
-  kOverloaded = 1,        ///< Admission control shed the request; retryable.
+  kOverloaded = 1,        ///< Refused for lack of capacity; retryable.
+                          ///< Reserved: the reference server never sends it.
   kMalformedRequest = 2,  ///< Request payload undecodable; not retryable.
   kShuttingDown = 3,      ///< Server is draining; retryable elsewhere/later.
   kInternal = 4,          ///< Evaluation threw; not retryable.
@@ -157,6 +159,14 @@ std::string encode_frame(const WireFrame& frame);
 /// frame — from the header alone where possible.
 std::optional<WireFrame> try_decode_frame(
     std::string& buffer, std::size_t max_payload = kMaxWirePayload);
+
+/// Cursor form of try_decode_frame for receivers that keep a read offset
+/// into their buffer: decodes the frame at the front of `buffer` and sets
+/// `*consumed` to its encoded length, leaving the bytes in place (the
+/// caller advances its offset). Same errors as try_decode_frame.
+std::optional<WireFrame> try_decode_frame_at(
+    std::string_view buffer, std::size_t* consumed,
+    std::size_t max_payload = kMaxWirePayload);
 
 // -- Message layer.
 

@@ -12,6 +12,8 @@
 // the burst case with live workers and during shutdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -218,6 +220,41 @@ TEST(OracleStats, HistogramAndCountersTrackServing) {
   const ClassifyCache::Stats cache = stats.cache;
   EXPECT_GT(cache.hits + cache.misses, 0u);
   EXPECT_LE(cache.entries, cache.capacity);
+}
+
+TEST(OracleStats, LatencyHistogramQuantilesWithinOneSubBucket) {
+  // Log-uniform samples from 1 ns to ~17 s, plus every small value once.
+  std::vector<std::uint64_t> samples;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 20000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const int bits = static_cast<int>(x % 34);
+    samples.push_back((x >> 30) & ((std::uint64_t{1} << bits) - 1));
+  }
+  for (std::uint64_t v = 0; v < 64; ++v) samples.push_back(v);
+
+  LatencyHistogram histogram;
+  for (std::uint64_t v : samples) histogram.record(v);
+  EXPECT_EQ(histogram.count(), samples.size());
+  std::sort(samples.begin(), samples.end());
+
+  for (double q : {0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    const double exact = static_cast<double>(samples[rank - 1]);
+    const double reported = histogram.quantile_us(q) * 1000.0;
+    EXPECT_GE(reported, exact) << "q=" << q;
+    EXPECT_LE(reported, exact * 1.125) << "q=" << q;
+  }
+
+  // Below 2 * kSubBuckets ns every bucket holds one value: exact.
+  LatencyHistogram small;
+  for (std::uint64_t v = 1; v <= 15; ++v) small.record(v);
+  EXPECT_DOUBLE_EQ(small.quantile_us(0.5) * 1000.0, 8.0);
+  EXPECT_DOUBLE_EQ(small.quantile_us(1.0) * 1000.0, 15.0);
+  EXPECT_EQ(LatencyHistogram{}.quantile_us(0.5), 0.0);
 }
 
 }  // namespace

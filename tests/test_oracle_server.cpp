@@ -6,9 +6,10 @@
 // IRP_SANITIZE=thread this is the data-race check for the transport).
 //
 // The rest is fault injection with raw sockets, below the OracleClient so
-// the server's behavior is observed directly: overload shedding produces
-// explicit kOverloaded error frames while admitted work still completes;
-// garbage bytes poison exactly one connection; a malformed payload inside a
+// the server's behavior is observed directly: a client that floods without
+// reading is throttled by TCP flow control while other connections are
+// served, and none of its requests is shed; garbage bytes poison exactly
+// one connection; a malformed payload inside a
 // well-framed request keeps the connection alive; client timeouts, refused
 // connects, connection caps, and graceful shutdown all surface as their
 // documented error kinds.
@@ -240,50 +241,154 @@ TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
   service.shutdown();
 }
 
-// -- Overload: shed requests get explicit error frames, admitted ones are
-// still answered. workers == 0 keeps the queue full deterministically.
+// -- Run to completion: the server answers on its poll thread, so it needs
+// no service workers, and overload is TCP backpressure, never a shed.
 
-TEST(OracleServerE2E, OverloadShedsWithExplicitErrorFrames) {
+TEST(OracleServerE2E, RunsWithoutServiceWorkers) {
+  const ServerFixture& f = fixture();
+  // No workers, never drained: a queued request would wait forever.
+  OracleService service(f.index.get(), OracleService::Config{0, 1});
+  OracleServer server(&service);
+  server.start();
+
+  OracleClient::Config cc;
+  cc.port = server.port();
+  cc.max_retries = 0;
+  OracleClient client(cc);
+  constexpr std::size_t kCalls = 50;
+  for (std::size_t i = 0; i < kCalls; ++i)
+    EXPECT_EQ(to_text(client.call(f.queries[i])),
+              to_text(service.answer(f.queries[i])));
+
+  // Every wire request went through the counted path, none through the
+  // queue.
+  const OracleStatsView stats = service.stats();
+  EXPECT_EQ(stats.served, kCalls);
+  EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_EQ(stats.peak_queue_depth, 0u);
+  EXPECT_EQ(server.stats().requests_admitted, kCalls);
+
+  server.shutdown();
+  service.shutdown();
+}
+
+TEST(OracleServerE2E, FloodingClientIsThrottledNotShed) {
   const ServerFixture& f = fixture();
   OracleService service(f.index.get(), OracleService::Config{0, 1});
   OracleServer server(&service);
   server.start();
 
-  const int fd = connect_loopback(server.port());
-  ASSERT_GE(fd, 0);
-  // Pipeline three requests at once: capacity 1 with no workers admits
-  // exactly the first and sheds the rest.
-  std::string burst;
-  for (std::uint64_t id = 1; id <= 3; ++id)
-    burst += encode_request(id, f.queries[(id - 1) % f.queries.size()]);
-  send_bytes(fd, burst);
+  // The alternate-routes query with the largest answer, so unread replies
+  // pile up fast.
+  OracleRequest request;
+  std::size_t reply_bytes = 0;
+  for (const OracleRequest& q : f.queries) {
+    if (!std::holds_alternative<AlternateRoutesRequest>(q)) continue;
+    const std::size_t bytes = encode_response(0, service.answer(q)).size();
+    if (bytes > reply_bytes) {
+      reply_bytes = bytes;
+      request = q;
+    }
+  }
+  ASSERT_GT(reply_bytes, encode_request(0, request).size());
+  const std::string expected = to_text(service.answer(request));
 
-  const auto errors = read_frames(fd, 2);
-  ASSERT_EQ(errors.size(), 2u);
-  EXPECT_EQ(errors[0].request_id, 2u);
-  EXPECT_EQ(errors[1].request_id, 3u);
-  for (const WireFrame& frame : errors) {
-    const WireError err = expect_error_frame(frame);
-    EXPECT_EQ(err.code, WireErrorCode::kOverloaded);
-    EXPECT_EQ(err.message, "service queue full");
+  // Pipeline without reading until the server stops reading too: sends
+  // stay blocked once the unsent-bytes cap and every socket buffer on the
+  // way are full.
+  const int flood = connect_loopback(server.port());
+  ASSERT_GE(flood, 0);
+  std::uint64_t frames = 0;
+  std::string pending;
+  std::size_t pending_off = 0;
+  std::uint64_t bytes_sent = 0;
+  auto quiet_since = std::chrono::steady_clock::now();
+  for (;;) {
+    if (pending_off == pending.size()) {
+      pending.clear();
+      pending_off = 0;
+      for (int i = 0; i < 256; ++i)
+        pending += encode_request(++frames, request);
+    }
+    const ssize_t n = ::send(flood, pending.data() + pending_off,
+                             pending.size() - pending_off,
+                             MSG_DONTWAIT | MSG_NOSIGNAL);
+    if (n > 0) {
+      pending_off += static_cast<std::size_t>(n);
+      bytes_sent += static_cast<std::uint64_t>(n);
+      quiet_since = std::chrono::steady_clock::now();
+      ASSERT_LT(bytes_sent, 32u << 20) << "the server never pushed back";
+      continue;
+    }
+    ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+        << std::strerror(errno);
+    if (std::chrono::steady_clock::now() - quiet_since >
+        std::chrono::milliseconds(300))
+      break;
+    pollfd pfd{flood, POLLOUT, 0};
+    ::poll(&pfd, 1, 50);
+  }
+  // The server stopped reading well short of what was sent, and dropped
+  // nothing it did read.
+  WireServerStats stats = server.stats();
+  EXPECT_LT(stats.bytes_in, bytes_sent);
+  EXPECT_LT(stats.frames_in, frames);
+  EXPECT_EQ(stats.frames_out, stats.frames_in);
+
+  // Another connection is unaffected: answered promptly, byte-identical.
+  {
+    OracleClient::Config cc;
+    cc.port = server.port();
+    cc.max_retries = 0;
+    cc.read_timeout = std::chrono::milliseconds(2000);
+    OracleClient other(cc);
+    for (std::size_t i = 0; i < 20; ++i)
+      EXPECT_EQ(to_text(other.call(f.queries[i])),
+                to_text(service.answer(f.queries[i])));
   }
 
-  // Draining the service resolves the admitted request; its response frame
-  // arrives on the same still-healthy connection.
-  EXPECT_EQ(service.drain(), 1u);
-  const auto answers = read_frames(fd, 1);
-  ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(answers[0].request_id, 1u);
-  EXPECT_TRUE(is_response_frame(answers[0].type));
+  // The flooder now reads (and sends the tail of its last batch): every
+  // answer arrives, in id order.
+  std::string in;
+  std::uint64_t next_id = 1;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (next_id <= frames && std::chrono::steady_clock::now() < deadline) {
+    pollfd pfd{flood,
+               static_cast<short>(POLLIN |
+                                  (pending_off < pending.size() ? POLLOUT : 0)),
+               0};
+    if (::poll(&pfd, 1, 100) <= 0) continue;
+    if (pfd.revents & POLLOUT) {
+      const ssize_t n = ::send(flood, pending.data() + pending_off,
+                               pending.size() - pending_off,
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) pending_off += static_cast<std::size_t>(n);
+    }
+    if (!(pfd.revents & POLLIN)) continue;
+    char buf[65536];
+    const ssize_t n = ::recv(flood, buf, sizeof buf, MSG_DONTWAIT);
+    ASSERT_NE(n, 0) << "server closed the flooding connection";
+    if (n < 0) continue;
+    in.append(buf, static_cast<std::size_t>(n));
+    while (auto frame = try_decode_frame(in)) {
+      ASSERT_EQ(frame->request_id, next_id);
+      const auto reply = decode_reply(*frame);
+      ASSERT_TRUE(std::holds_alternative<OracleResponse>(reply));
+      if (next_id % 1000 == 1)
+        EXPECT_EQ(to_text(std::get<OracleResponse>(reply)), expected);
+      ++next_id;
+    }
+  }
+  EXPECT_EQ(next_id, frames + 1) << "answers missing";
+  ::close(flood);
 
-  const WireServerStats stats = server.stats();
-  EXPECT_EQ(stats.requests_admitted, 1u);
-  EXPECT_EQ(stats.requests_shed, 2u);
-  EXPECT_EQ(stats.frames_in, 3u);
-  EXPECT_EQ(stats.frames_out, 3u);
-
-  ::close(fd);
   server.shutdown();
+  stats = server.stats();
+  EXPECT_EQ(stats.requests_shed, 0u);
+  EXPECT_EQ(stats.frames_in, frames + 20);
+  EXPECT_EQ(stats.frames_out, stats.frames_in);
+  EXPECT_EQ(stats.requests_admitted, frames + 20);
   service.shutdown();
 }
 

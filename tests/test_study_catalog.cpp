@@ -201,8 +201,8 @@ TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
   }
 
   // Per-study accounting: the queued path (answer() is a synchronous
-  // bypass and deliberately does not count as "served") routes each
-  // submission to the right study slot.
+  // bypass and deliberately does not count as "served", unlike serve())
+  // routes each submission to the right study slot.
   std::vector<std::future<OracleResponse>> responses;
   std::array<std::size_t, 3> submitted{};
   for (int s = 0; s < 3; ++s) {
@@ -225,6 +225,75 @@ TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
     EXPECT_EQ(stats.per_study[s].name, kNames[s]);
     EXPECT_EQ(stats.per_study[s].served, submitted[s]);
   }
+}
+
+// -- One accounting path: serve() (the wire's entry point) and the queue
+// count the same stream identically, rebalancing included.
+
+TEST(StudyCatalog, ServeAndQueueCountIdentically) {
+  StudyCatalogConfig catalog_config;
+  catalog_config.total_cache_capacity = 240;
+  catalog_config.min_study_cache_quota = 32;
+  OracleService::Config config{0, 1u << 16};
+  config.cache_rebalance_every = 64;
+
+  // epoch-a runs hot (its classify stream twice); the others once, sparse.
+  std::vector<std::pair<OracleRequest, std::string>> stream;
+  for (int round = 0; round < 2; ++round)
+    for (const OracleRequest& request : fixtures()[0].queries)
+      stream.emplace_back(request, kNames[0]);
+  for (int s = 1; s < 3; ++s)
+    for (std::size_t i = 0; i < fixtures()[s].queries.size(); i += 5)
+      stream.emplace_back(fixtures()[s].queries[i], kNames[s]);
+  stream.emplace_back(OracleRequest{RelationshipLookupRequest{1, 2}}, "nope");
+
+  auto direct_catalog = make_catalog(catalog_config);
+  OracleService direct(direct_catalog.get(), config);
+  std::vector<std::string> direct_answers;
+  for (const auto& [request, study] : stream) {
+    try {
+      direct_answers.push_back(to_text(direct.serve(request, study)));
+    } catch (const UnknownStudyError&) {
+      direct_answers.push_back("unknown");
+    }
+  }
+
+  auto queued_catalog = make_catalog(catalog_config);
+  OracleService queued(queued_catalog.get(), config);
+  std::vector<OracleService::Submitted> submitted;
+  for (const auto& [request, study] : stream)
+    submitted.push_back(queued.submit(request, study));
+  EXPECT_EQ(queued.drain(), stream.size() - 1);
+  std::vector<std::string> queued_answers;
+  for (OracleService::Submitted& sub : submitted)
+    queued_answers.push_back(sub.accepted ? to_text(sub.response.get())
+                                          : "unknown");
+  EXPECT_EQ(direct_answers, queued_answers);
+
+  const OracleStatsView a = direct.stats();
+  const OracleStatsView b = queued.stats();
+  EXPECT_EQ(a.served, stream.size() - 1);
+  EXPECT_EQ(a.served, b.served);
+  EXPECT_EQ(a.unknown_study, 1u);
+  EXPECT_EQ(a.unknown_study, b.unknown_study);
+  EXPECT_EQ(a.peak_queue_depth, 0u);  // serve() never touches the queue.
+  for (int t = 0; t < kNumQueryTypes; ++t)
+    EXPECT_EQ(a.per_type[t].served, b.per_type[t].served) << "type " << t;
+  ASSERT_EQ(a.per_study.size(), 3u);
+  ASSERT_EQ(b.per_study.size(), 3u);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(a.per_study[s].served, b.per_study[s].served) << kNames[s];
+    EXPECT_EQ(a.per_study[s].cache.hits, b.per_study[s].cache.hits);
+    EXPECT_EQ(a.per_study[s].cache.misses, b.per_study[s].cache.misses);
+  }
+
+  // Both paths drove the periodic rebalance to the same quotas, away from
+  // the even split at load.
+  const StudyCatalog::CacheBudgetView qa = direct_catalog->cache_budget();
+  const StudyCatalog::CacheBudgetView qb = queued_catalog->cache_budget();
+  for (int s = 0; s < 3; ++s)
+    EXPECT_EQ(qa.per_study[s].quota, qb.per_study[s].quota) << kNames[s];
+  EXPECT_GT(qa.per_study[0].quota, 80u);
 }
 
 TEST(StudyCatalog, ThreeStudyServerMatchesSingleStudyServersOverWire) {

@@ -3,10 +3,11 @@
 # errors (exit 2), never silently parsed as 0 the way atoi would have it.
 #
 # Registered as the `cli_args_check` ctest; takes the run_study_cli binary
-# as $1. Every case below exercises a flag that was once parsed with
+# as $1. Most cases below exercise a flag that was once parsed with
 # atoi/atoll/strtoul — "abc" became 0 workers, "-1" became huge, "12x"
-# became 12 — and asserts the checked parser rejects it before any snapshot
-# is loaded or socket opened.
+# became 12 — and assert the checked parser rejects it before any snapshot
+# is loaded or socket opened; the rest reject flag combinations that would
+# silently do nothing.
 #
 # Usage: tools/check_cli_args.sh build/examples/run_study_cli
 set -u
@@ -58,6 +59,12 @@ expect_usage "serve --cache-budget junk"    serve --snapshot x --cache-budget ab
 expect_usage "serve bad snapshot spec"      serve --snapshot =
 expect_usage "serve empty snapshot name"    serve --snapshot =file
 
+# serve --listen answers on its poll thread: flags that size the --queries
+# worker pool would silently do nothing there, so they are usage errors.
+expect_usage "serve --listen with --workers" serve --snapshot x --listen 0 --workers 2
+expect_usage "serve --listen with --queue"   serve --snapshot x --queue 8 --listen 0
+expect_usage "serve --listen with --queries" serve --snapshot x --listen 0 --queries q
+
 # query: the --connect port (parsed before any socket is opened).
 expect_usage "query --connect port zero"    query --connect 127.0.0.1:0
 expect_usage "query --connect port junk"    query --connect 127.0.0.1:x
@@ -73,6 +80,13 @@ rc=$?
 checked=$((checked + 1))
 if [ "$rc" -ne 1 ]; then
   echo "cli-args-check: FAIL [valid flags reach the loader]: exit $rc, expected 1"
+  status=1
+fi
+"$bin" serve --snapshot /nonexistent.snap --listen 0 >/dev/null 2>&1
+rc=$?
+checked=$((checked + 1))
+if [ "$rc" -ne 1 ]; then
+  echo "cli-args-check: FAIL [serve --listen flags reach the loader]: exit $rc, expected 1"
   status=1
 fi
 
