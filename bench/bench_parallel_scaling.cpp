@@ -1,10 +1,11 @@
 // Wall-clock scaling of the parallel passive-study phases at 1/2/4/8
-// threads: corpus build + snapshot inference (run_passive_study) and the
-// GR path-set precompute behind classification. Because all randomness and
-// all result merging stay serial, every thread count produces byte-identical
-// outputs — this harness only measures time. On a single-core container the
-// speedup column degenerates to ~1x; on a 4+-core machine the corpus-build
-// plus classification phase is expected to reach >= 2x at 4 threads.
+// threads: corpus build, sharded measurement-epoch convergence and snapshot
+// inference (run_passive_study), and the GR path-set precompute behind
+// classification. Because all randomness and all result merging stay
+// serial, every thread count produces byte-identical outputs — this harness
+// only measures time. On one core the speedup column degenerates to ~1x; on
+// a 4+-core machine the passive study plus classification is expected to
+// reach >= 2x at 4 threads.
 #include <chrono>
 #include <memory>
 
@@ -68,7 +69,9 @@ double seconds_classify(const PassiveDataset& ds, int threads) {
 }
 
 void print_scaling() {
-  std::printf("Parallel scaling — corpus build + inference and GR precompute\n");
+  std::printf(
+      "Parallel scaling — corpus build, measurement epoch + inference and GR "
+      "precompute\n");
   std::printf("(hardware_concurrency = %d)\n\n",
               irp::resolve_threads(0));
 

@@ -274,8 +274,11 @@ int cmd_snapshot(int argc, char** argv) {
 
   std::printf("Running passive study (seed=%llu)...\n",
               static_cast<unsigned long long>(config.generator.seed));
-  const StudyResults r = run_full_study(config);
-  const OracleSnapshot snap = snapshot_study(r.passive);
+  // The image needs only the passive campaign: no classifier, analyses or
+  // active experiments.
+  const auto net = generate_internet(config.generator);
+  const OracleSnapshot snap =
+      snapshot_study(run_passive_study(*net, config.passive));
   snap.save(out_path);
   std::printf(
       "wrote oracle snapshot to %s (%zu relationships, %zu prefixes, "

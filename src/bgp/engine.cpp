@@ -427,6 +427,80 @@ std::vector<Ipv4Prefix> BgpEngine::prefixes() const {
   return out;
 }
 
+ConvergedRib BgpEngine::freeze() const& { return freeze_with(&table_, nullptr); }
+
+ConvergedRib BgpEngine::freeze() && {
+  auto owned = std::make_unique<PathTable>(std::move(table_));
+  owned->shrink_to_fit();
+  const PathTable* paths = owned.get();
+  return freeze_with(paths, std::move(owned));
+}
+
+ConvergedRib BgpEngine::freeze_with(const PathTable* paths,
+                                    std::unique_ptr<PathTable> owned) const {
+  const std::size_t num_ases = topo_->num_ases();
+  const std::size_t slots = states_.size() * num_ases;
+  ConvergedRib::Shard shard;
+  shard.paths = paths;
+  shard.owned_paths = std::move(owned);
+  shard.path.resize(slots, kEmptyPathId);
+  shard.via_link.resize(slots, kInvalidLink);
+  shard.next_hop.resize(slots, 0);
+  shard.flags.resize(slots, 0);
+  shard.alt_begin.reserve(slots + 1);
+  shard.alt_begin.push_back(0);
+  // Exact-size alternate columns: every Adj-RIB-In route but the selected.
+  std::size_t num_alternates = 0;
+  for (const auto& stp : states_) {
+    for (const PerAs& pa : stp->per_as) {
+      num_alternates += pa.rib_in.size();
+      if (pa.selected.has_value() &&
+          std::any_of(pa.rib_in.begin(), pa.rib_in.end(),
+                      [&](const RibRoute& r) {
+                        return r.via_link == pa.selected->via_link;
+                      }))
+        --num_alternates;
+    }
+  }
+  IRP_CHECK(num_alternates <= 0xFFFFFFFFu,
+            "converged RIB shard holds too many alternates for u32 offsets");
+  shard.alt_path.reserve(num_alternates);
+  shard.alt_from.reserve(num_alternates);
+
+  std::size_t slot = 0;
+  for (const auto& stp : states_) {
+    for (const PerAs& pa : stp->per_as) {
+      // Unrouted and self-originated slots keep kInvalidLink, which no
+      // Adj-RIB-In route carries: all their routes are alternates.
+      if (pa.selected.has_value()) {
+        const Selected& sel = *pa.selected;
+        shard.path[slot] = sel.path_id;
+        shard.via_link[slot] = sel.via_link;
+        shard.next_hop[slot] = sel.next_hop;
+        shard.flags[slot] = ConvergedRib::kHasRoute;
+        if (sel.self_originated)
+          shard.flags[slot] |= ConvergedRib::kSelfOriginated;
+      }
+      for (const RibRoute& r : pa.rib_in) {
+        if (r.via_link == shard.via_link[slot]) {
+          shard.flags[slot] |= ConvergedRib::kSelectedInRib;
+          continue;
+        }
+        shard.alt_path.push_back(r.path);
+        shard.alt_from.push_back(r.from_asn);
+      }
+      shard.alt_begin.push_back(
+          static_cast<std::uint32_t>(shard.alt_path.size()));
+      ++slot;
+    }
+  }
+
+  ConvergedRib rib;
+  rib.num_ases_ = num_ases;
+  rib.add_shard(std::move(shard), prefixes());
+  return rib;
+}
+
 EngineCounters BgpEngine::counters() const {
   const PathTable::Stats& ps = table_.stats();
   EngineCounters c;

@@ -31,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/converged_rib.hpp"
 #include "bgp/path_table.hpp"
 #include "bgp/policy.hpp"
 #include "bgp/route.hpp"
@@ -155,6 +156,15 @@ class BgpEngine {
   /// All prefixes ever announced.
   std::vector<Ipv4Prefix> prefixes() const;
 
+  /// Freezes the current state of every announced prefix into a read-only
+  /// ConvergedRib, in prefixes() order. O(ASes x prefixes + Adj-RIB-In
+  /// routes). The RIB borrows this engine's path table: it must not outlive
+  /// the engine, and later announcements and runs do not show in it.
+  ConvergedRib freeze() const&;
+  /// The same, but the RIB takes the path table, so it outlives the engine;
+  /// the engine is left without paths and may only be destroyed.
+  ConvergedRib freeze() &&;
+
   LogicalTime now() const { return clock_; }
   int epoch() const { return epoch_; }
   std::size_t messages_delivered() const { return messages_; }
@@ -220,6 +230,9 @@ class BgpEngine {
     /// the pool).
     void reset(std::size_t num_ases);
   };
+
+  ConvergedRib freeze_with(const PathTable* paths,
+                           std::unique_ptr<PathTable> owned) const;
 
   PrefixState& state_for(const Ipv4Prefix& prefix);
   const PrefixState* find_state(const Ipv4Prefix& prefix) const;

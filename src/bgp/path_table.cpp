@@ -78,6 +78,11 @@ PathId PathTable::intern(const AsPath& path) {
   return id;
 }
 
+void PathTable::shrink_to_fit() {
+  nodes_.shrink_to_fit();
+  intern_.rehash(0);  // Smallest bucket count that fits the entries.
+}
+
 bool PathTable::contains(PathId id, Asn asn) const {
   for (PathId cur = id; nodes_[cur].num_hops > 0; cur = nodes_[cur].tail)
     if (nodes_[cur].head == asn) return true;

@@ -118,6 +118,10 @@ class PathTable {
   std::size_t num_paths() const { return nodes_.size(); }
   const Stats& stats() const { return stats_; }
 
+  /// Releases spare capacity, including the intern index's up-front
+  /// reservation, once the table stops growing (a frozen RIB's paths).
+  void shrink_to_fit();
+
   // -- Snapshot hooks (RouteOracle binary images, see src/serve/).
   //
   // A table serializes as its flat node array plus the poison-set pool; ids

@@ -80,12 +80,13 @@ std::set<std::vector<Asn>> ActiveExperiment::observe(
     const BgpEngine& engine) const {
   std::set<std::vector<Asn>> paths;
   const Ipv4Prefix prefix = net_->testbed_prefixes[0];
-  TracerouteSim tracer{&net_->topology, &engine};
+  const ConvergedRib rib = engine.freeze();
+  TracerouteSim tracer{&net_->topology, &rib};
   for (Asn v : vantages_) {
     auto path = tracer.forwarding_path(v, prefix);
     if (path.size() >= 2) paths.insert(std::move(path));
   }
-  for (const FeedEntry& e : engine.feed(net_->collector_peers)) {
+  for (const FeedEntry& e : rib.feed(net_->collector_peers)) {
     if (e.prefix != prefix) continue;
     if (e.path.hops.size() >= 2) paths.insert(e.path.hops);
   }
@@ -98,7 +99,8 @@ std::vector<Asn> ActiveExperiment::select_vantages(
   BgpEngine engine{&net.topology, &policy, net.measurement_epoch};
   engine.announce(net.testbed_prefixes[0], net.testbed_asn);
   engine.run();
-  TracerouteSim tracer{&net.topology, &engine};
+  const ConvergedRib rib = engine.freeze();
+  TracerouteSim tracer{&net.topology, &rib};
 
   std::vector<std::pair<Asn, std::vector<Asn>>> paths;
   for (Asn c : candidates) {
@@ -266,7 +268,15 @@ Table2Report ActiveExperiment::magnet_experiment() {
   const Ipv4Prefix prefix = net_->testbed_prefixes[0];
   const Asn testbed = net_->testbed_asn;
   BgpEngine engine{&net_->topology, policy_, net_->measurement_epoch};
-  TracerouteSim tracer{&net_->topology, &engine};
+  // Traceroute ASes of the vantages toward the prefix in the engine's
+  // current state.
+  auto traceroute_from_vantages = [&](std::set<Asn>& out) {
+    const ConvergedRib rib = engine.freeze();
+    const TracerouteSim tracer{&net_->topology, &rib};
+    for (Asn v : vantages_)
+      for (Asn asn : tracer.forwarding_path(v, prefix))
+        if (asn != testbed) out.insert(asn);
+  };
 
   Table2Report report;
   const std::set<Asn> feed_ases{net_->collector_peers.begin(),
@@ -288,16 +298,12 @@ Table2Report ActiveExperiment::magnet_experiment() {
         before[node.asn] = sel->path;
     });
     std::set<Asn> traceroute_ases;
-    for (Asn v : vantages_)
-      for (Asn asn : tracer.forwarding_path(v, prefix))
-        if (asn != testbed) traceroute_ases.insert(asn);
+    traceroute_from_vantages(traceroute_ases);
 
     // Stage 2: anycast from every mux.
     engine.announce(prefix, testbed, AnnounceOptions{});
     engine.run();
-    for (Asn v : vantages_)
-      for (Asn asn : tracer.forwarding_path(v, prefix))
-        if (asn != testbed) traceroute_ases.insert(asn);
+    traceroute_from_vantages(traceroute_ases);
 
     auto analyze = [&](Asn x, TriggerCounts& counts) {
       auto it = before.find(x);

@@ -20,7 +20,7 @@ const ContentService* service_of(const PassiveDataset& ds,
 }  // namespace
 
 DecisionClassifier make_classifier(const PassiveDataset& ds) {
-  return DecisionClassifier{&ds.inferred, ds.engine->topology().num_ases(),
+  return DecisionClassifier{&ds.inferred, ds.rib.num_ases(),
                             &ds.hybrid, &ds.siblings, &ds.observations};
 }
 
@@ -186,7 +186,7 @@ SkewReport compute_skew(const PassiveDataset& ds, const GeneratedInternet& net,
     const InferredTopology pruned = prune_stale_links(
         ds.inferred, net.neighbor_history, net.measurement_epoch);
     DecisionClassifier pruned_classifier{
-        &pruned, ds.engine->topology().num_ases(), &ds.hybrid, &ds.siblings,
+        &pruned, ds.rib.num_ases(), &ds.hybrid, &ds.siblings,
         &ds.observations};
     std::size_t total = 0, explained = 0;
     for (std::size_t i : violation_indices) {

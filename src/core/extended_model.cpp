@@ -22,7 +22,7 @@ InferredTopology apply_cable_correction(const InferredTopology& topo,
 ExtendedModelReport compute_extended_model(const PassiveDataset& ds,
                                            const GeneratedInternet& net) {
   ExtendedModelReport report;
-  const std::size_t num_ases = ds.engine->topology().num_ases();
+  const std::size_t num_ases = ds.rib.num_ases();
   const ScenarioOptions simple;
   const ScenarioOptions all1{.use_hybrid = true,
                              .use_siblings = true,

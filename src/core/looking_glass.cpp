@@ -34,11 +34,10 @@ PspValidationReport validate_psp(const PassiveDataset& ds,
 
       // Looking-glass query: does n hold a route for the prefix learned
       // directly from origin?
-      bool has_route_from_origin = false;
-      for (const Route& r : ds.engine->routes_at(n, prefix))
-        if (r.from_asn == origin) has_route_from_origin = true;
+      const std::optional<std::size_t> index = ds.rib.find(prefix);
       ++report.checked;
-      if (!has_route_from_origin) ++report.correct;
+      if (!index || !ds.rib.has_route_from(*index, n, origin))
+        ++report.correct;
     }
   }
   report.unique_neighbors = neighbors_seen.size();

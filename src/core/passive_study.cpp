@@ -9,18 +9,6 @@
 namespace irp {
 namespace {
 
-/// Collects the ASes whose prefixes must be live in the measurement engine:
-/// content origins (and their sibling ASNs) plus every cache host.
-std::vector<Asn> content_related_ases(const GeneratedInternet& net) {
-  std::set<Asn> ases;
-  for (const auto& service : net.content.services()) {
-    ases.insert(service.origin_asn);
-    for (const auto& cache : service.caches) ases.insert(cache.host_asn);
-  }
-  for (Asn asn : net.content_asns) ases.insert(asn);
-  return {ases.begin(), ases.end()};
-}
-
 /// Runs per-epoch chunked convergences announcing one prefix per AS and
 /// feeds the corpus — the route-collector view of each monthly snapshot.
 ///
@@ -29,7 +17,8 @@ std::vector<Asn> content_related_ases(const GeneratedInternet& net) {
 /// are merged in deterministic (epoch, batch-index) order afterwards, which
 /// keeps the corpus byte-identical to a serial run.
 void build_corpus(const GeneratedInternet& net, const GroundTruthPolicy& policy,
-                  int batch, ThreadPool& pool, PathCorpus& corpus) {
+                  int batch, ThreadPool& pool,
+                  BgpEngine::StatePool& state_pool, PathCorpus& corpus) {
   const Topology& topo = net.topology;
   std::vector<std::pair<Ipv4Prefix, Asn>> origins;
   topo.for_each_as([&](const AsNode& node) {
@@ -50,7 +39,6 @@ void build_corpus(const GeneratedInternet& net, const GroundTruthPolicy& policy,
   // Engines are short-lived (one per job) but their per-prefix state is
   // O(num_ases · batch); the shared pool recycles it across jobs instead of
   // re-mallocing it for every (epoch, batch).
-  BgpEngine::StatePool state_pool;
   const std::vector<std::vector<FeedEntry>> feeds =
       pool.parallel_map(jobs.size(), [&](std::size_t j) {
         const Job& job = jobs[j];
@@ -67,20 +55,75 @@ void build_corpus(const GeneratedInternet& net, const GroundTruthPolicy& policy,
     for (const FeedEntry& e : feeds[j]) corpus.add_feed(jobs[j].epoch, e);
 }
 
+/// One announcement of announce_all(), in its order.
+struct Announcement {
+  Ipv4Prefix prefix;
+  Asn origin = 0;
+  AnnounceOptions options;
+};
+
+/// The announcements announce_all() makes for `origins`, in its order: every
+/// originated prefix of each AS, with its selective-announcement and
+/// prepending options.
+std::vector<Announcement> announcements_of(const Topology& topo,
+                                           const std::vector<Asn>& origins) {
+  std::vector<Announcement> out;
+  for (Asn asn : origins) {
+    for (const auto& op : topo.as_node(asn).prefixes) {
+      Announcement a{op.prefix, asn, {}};
+      a.options.only_links = op.announce_only_on;
+      a.options.prepend_on = op.prepend_on;
+      out.push_back(std::move(a));
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+std::vector<Asn> content_related_ases(const GeneratedInternet& net) {
+  std::set<Asn> ases;
+  for (const auto& service : net.content.services()) {
+    ases.insert(service.origin_asn);
+    for (const auto& cache : service.caches) ases.insert(cache.host_asn);
+  }
+  for (Asn asn : net.content_asns) ases.insert(asn);
+  return {ases.begin(), ases.end()};
+}
 
 void announce_all(BgpEngine& engine, const Topology& topo,
                   const std::vector<Asn>& origins) {
-  for (Asn asn : origins) {
-    const AsNode& node = topo.as_node(asn);
-    for (const auto& op : node.prefixes) {
-      AnnounceOptions options;
-      options.only_links = op.announce_only_on;
-      options.prepend_on = op.prepend_on;
-      engine.announce(op.prefix, asn, std::move(options));
-    }
-  }
+  for (Announcement& a : announcements_of(topo, origins))
+    engine.announce(a.prefix, a.origin, std::move(a.options));
   engine.run();
+}
+
+ConvergedRib converge_rib(const Topology& topo, const GroundTruthPolicy& policy,
+                          int epoch, const std::vector<Asn>& origins,
+                          int batch, ThreadPool& pool,
+                          BgpEngine::StatePool* state_pool) {
+  IRP_CHECK(batch >= 1, "converge_rib needs a positive batch size");
+  const std::vector<Announcement> announcements =
+      announcements_of(topo, origins);
+  const auto shard_size = static_cast<std::size_t>(batch);
+  const std::size_t num_shards =
+      (announcements.size() + shard_size - 1) / shard_size;
+  // Each shard converges on a private engine and freezes it, handing its
+  // path table to the RIB; the engine's per-AS state goes back to the pool.
+  // BGP runs per prefix: the logical clock is only compared between routes
+  // of one prefix, so splitting the prefixes changes no route.
+  std::vector<ConvergedRib> shards =
+      pool.parallel_map(num_shards, [&](std::size_t s) {
+        BgpEngine engine{&topo, &policy, epoch, state_pool};
+        const std::size_t end =
+            std::min(announcements.size(), (s + 1) * shard_size);
+        for (std::size_t i = s * shard_size; i < end; ++i)
+          engine.announce(announcements[i].prefix, announcements[i].origin,
+                          announcements[i].options);
+        engine.run();
+        return std::move(engine).freeze();
+      });
+  return ConvergedRib::concat(std::move(shards));
 }
 
 PassiveDataset run_passive_study(const GeneratedInternet& net,
@@ -92,13 +135,21 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
 
   ds.policy = std::make_unique<GroundTruthPolicy>(&topo);
 
-  // -- 1. Inference corpus across all snapshots.
-  build_corpus(net, *ds.policy, config.snapshot_batch, pool, ds.corpus);
+  {
+    // Both convergence phases recycle one set of per-prefix engine states;
+    // the pool frees them once the measurement epoch is frozen.
+    BgpEngine::StatePool state_pool;
 
-  // -- 2. Measurement-epoch engine with all content-related prefixes.
-  ds.engine = std::make_unique<BgpEngine>(&topo, ds.policy.get(),
-                                          net.measurement_epoch);
-  announce_all(*ds.engine, topo, content_related_ases(net));
+    // -- 1. Inference corpus across all snapshots.
+    build_corpus(net, *ds.policy, config.snapshot_batch, pool, state_pool,
+                 ds.corpus);
+
+    // -- 2. Measurement epoch with all content-related prefixes, converged
+    // in shards and frozen into the RIB every later step reads.
+    ds.rib = converge_rib(topo, *ds.policy, net.measurement_epoch,
+                          content_related_ases(net), config.snapshot_batch,
+                          pool, &state_pool);
+  }
 
   // -- 3. Probes and traceroutes.
   ProbeSampler sampler{&topo, &net.world, config.probes, rng.fork()};
@@ -107,7 +158,7 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
 
   ds.ip_to_as = IpToAsMap::from_topology(topo);
   ContentResolver resolver{&topo, &net.world, &net.content};
-  TracerouteSim tracer{&topo, ds.engine.get()};
+  TracerouteSim tracer{&topo, &ds.rib};
 
   // Hostname list, shuffled once; each probe measures a rotating window so
   // every hostname is covered while respecting the probing budget.
@@ -182,7 +233,7 @@ PassiveDataset run_passive_study(const GeneratedInternet& net,
   ds.num_observed_decider_ases = decider_ases.size();
 
   // -- 5. Inference products.
-  ds.measurement_feed = ds.engine->feed(net.collector_peers);
+  ds.measurement_feed = ds.rib.feed(net.collector_peers);
   for (const FeedEntry& e : ds.measurement_feed)
     ds.corpus.add_feed(net.measurement_epoch, e);
 

@@ -5,7 +5,8 @@
 //   1. converge the ground-truth BGP system for five monthly snapshots and
 //      collect route-collector feeds (the inference corpus);
 //   2. converge the measurement-epoch system for all content-related
-//      prefixes;
+//      prefixes, in shards of `snapshot_batch` prefixes on the thread pool,
+//      and freeze it into one read-only ConvergedRib;
 //   3. sample RIPE-style probes (continent round-robin), resolve the content
 //      hostnames per probe, traceroute to the resolved addresses;
 //   4. convert IP paths to AS paths and extract per-AS routing decisions;
@@ -14,8 +15,10 @@
 //      PSP criteria need.
 //
 // Everything downstream (Figure 1, 2, 3, Tables 3, 4) consumes the returned
-// PassiveDataset, which contains only analyst-observable artifacts plus the
-// live engine handle for the active experiments.
+// PassiveDataset: analyst-observable artifacts, plus the ground-truth policy
+// and the measurement epoch's converged RIB (for the §4.3 looking-glass
+// check and RouteOracle snapshots). The active experiments build their own
+// engines from the policy.
 #pragma once
 
 #include <memory>
@@ -46,12 +49,15 @@ struct PassiveStudyConfig {
   /// Coverage of the Giotsas-style complex-relationships dataset.
   double hybrid_coverage = 0.85;
   InferenceConfig inference;
-  /// Engine batching for the snapshot runs (memory control).
+  /// Prefixes per engine in every convergence of the study: the corpus
+  /// snapshot runs and the measurement-epoch shards. Bounds the live engine
+  /// state per thread (memory control); results do not depend on it.
   int snapshot_batch = 64;
-  /// Thread count for the embarrassingly parallel phases (corpus
-  /// convergences, per-snapshot inference). All randomness stays in the
-  /// serial orchestration, so any thread count produces byte-identical
-  /// results; 1 (the default) is the classic serial path.
+  /// Thread count for the embarrassingly parallel phases (corpus and
+  /// measurement-epoch convergences, per-snapshot inference). All
+  /// randomness stays in the serial orchestration, so any thread count
+  /// produces byte-identical results; 1 (the default) is the classic serial
+  /// path.
   ParallelConfig parallel;
   std::uint64_t seed = 7;
 };
@@ -71,9 +77,10 @@ struct PassiveDataset {
   BgpObservations observations;
   IpToAsMap ip_to_as;
 
-  // Live simulation handles (measurement epoch; content prefixes announced).
+  // Ground truth of the measurement epoch.
   std::unique_ptr<GroundTruthPolicy> policy;
-  std::unique_ptr<BgpEngine> engine;
+  /// Converged routes of every content-related prefix.
+  ConvergedRib rib;
 
   // Summary statistics.
   std::size_t num_destination_ases = 0;
@@ -90,9 +97,23 @@ struct PassiveDataset {
 PassiveDataset run_passive_study(const GeneratedInternet& net,
                                  const PassiveStudyConfig& config);
 
+/// The ASes whose prefixes the measurement epoch announces: content
+/// origins (and their sibling ASNs) plus every cache host, ascending.
+std::vector<Asn> content_related_ases(const GeneratedInternet& net);
+
 /// Announces every originated prefix of the given ASes on `engine`
 /// (honoring selective-announcement restrictions) and converges.
 void announce_all(BgpEngine& engine, const Topology& topo,
                   const std::vector<Asn>& origins);
+
+/// What announce_all() on one engine converges to, frozen: the same
+/// announcements, split in announce_all() order into shards of `batch`
+/// prefixes that converge concurrently on `pool` (private engines, states
+/// drawn from `state_pool` unless null) and are joined in shard order. Equal
+/// to freezing the single engine at any thread count and batch size.
+ConvergedRib converge_rib(const Topology& topo, const GroundTruthPolicy& policy,
+                          int epoch, const std::vector<Asn>& origins,
+                          int batch, ThreadPool& pool,
+                          BgpEngine::StatePool* state_pool);
 
 }  // namespace irp

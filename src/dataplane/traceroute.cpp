@@ -7,10 +7,10 @@
 
 namespace irp {
 
-TracerouteSim::TracerouteSim(const Topology* topo, const BgpEngine* engine)
-    : topo_(topo), engine_(engine) {
-  IRP_CHECK(topo_ != nullptr && engine_ != nullptr,
-            "traceroute sim requires topology and engine");
+TracerouteSim::TracerouteSim(const Topology* topo, const ConvergedRib* rib)
+    : topo_(topo), rib_(rib) {
+  IRP_CHECK(topo_ != nullptr && rib_ != nullptr,
+            "traceroute sim requires topology and converged RIB");
 }
 
 TracerouteHop TracerouteSim::ingress_hop(Asn asn, const Link& via_link) const {
@@ -45,6 +45,8 @@ std::optional<Traceroute> TracerouteSim::run(
   tr.src_address = src_address;
   tr.dst_address = dst_address;
   tr.dst_prefix = dst_prefix;
+  const std::optional<std::size_t> index = rib_->find(dst_prefix);
+  if (!index) return std::nullopt;  // Never announced: no route anywhere.
 
   Asn current = src_asn;
   std::vector<bool> visited(topo_->num_ases() + 1, false);
@@ -54,8 +56,9 @@ std::optional<Traceroute> TracerouteSim::run(
   // leave transiently inconsistent state — real traceroutes observe such
   // loops too. The traceroute simply fails to reach the destination.
   for (int ttl = 0; ttl < 64; ++ttl) {
-    const BgpEngine::Selected* sel = engine_->best(current, dst_prefix);
-    if (sel == nullptr) {
+    const std::optional<ConvergedRib::Selected> sel =
+        rib_->best(*index, current);
+    if (!sel) {
       if (current == src_asn) return std::nullopt;  // No route at the probe.
       return tr;  // Path died mid-way: unreached traceroute.
     }
@@ -77,12 +80,15 @@ std::optional<Traceroute> TracerouteSim::run(
 
 std::vector<Asn> TracerouteSim::forwarding_path(
     Asn src_asn, const Ipv4Prefix& dst_prefix) const {
+  const std::optional<std::size_t> index = rib_->find(dst_prefix);
+  if (!index) return {};
   std::vector<Asn> path;
   std::vector<bool> visited(topo_->num_ases() + 1, false);
   Asn current = src_asn;
   for (int ttl = 0; ttl < 64; ++ttl) {
-    const BgpEngine::Selected* sel = engine_->best(current, dst_prefix);
-    if (sel == nullptr) return {};
+    const std::optional<ConvergedRib::Selected> sel =
+        rib_->best(*index, current);
+    if (!sel) return {};
     if (visited[current]) return {};  // Forwarding loop: unusable path.
     visited[current] = true;
     path.push_back(current);

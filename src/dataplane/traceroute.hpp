@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "bgp/engine.hpp"
+#include "bgp/converged_rib.hpp"
 #include "net/ipv4.hpp"
 #include "topo/topology.hpp"
 
@@ -36,10 +36,11 @@ struct Traceroute {
   bool reached = false;        ///< True if the destination answered.
 };
 
-/// Simulates traceroutes over a converged BGP engine.
+/// Simulates traceroutes over a converged BGP state (a frozen RIB; a live
+/// engine is read through BgpEngine::freeze()).
 class TracerouteSim {
  public:
-  TracerouteSim(const Topology* topo, const BgpEngine* engine);
+  TracerouteSim(const Topology* topo, const ConvergedRib* rib);
 
   /// Runs a traceroute from `src_asn` toward `dst_address`, which must be
   /// covered by the announced `dst_prefix`. Returns nullopt when the source
@@ -59,7 +60,7 @@ class TracerouteSim {
   TracerouteHop ingress_hop(Asn asn, const Link& via_link) const;
 
   const Topology* topo_;
-  const BgpEngine* engine_;
+  const ConvergedRib* rib_;
 };
 
 }  // namespace irp

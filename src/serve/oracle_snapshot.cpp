@@ -1,6 +1,7 @@
 #include "serve/oracle_snapshot.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/passive_study.hpp"
 #include "serve/byte_io.hpp"
@@ -12,6 +13,39 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 24;  // magic + version + size + checksum.
 constexpr std::string_view kContext = "oracle snapshot";
+
+/// Re-interns paths of one source table into another, memoized by source
+/// id. Walking to the deepest unmapped suffix and prepending outward issues
+/// the same root()/prepend() sequence as `to.intern(from.materialize(id))`,
+/// so the destination ids are identical, but no hop vector is built and
+/// shared suffixes are mapped once.
+class PathTranslator {
+ public:
+  PathTranslator(const PathTable& from, PathTable& to)
+      : from_(from), to_(to), memo_(from.num_paths(), kUnmapped) {}
+
+  PathId operator()(PathId id) {
+    PathId cur = id;
+    while (memo_[cur] == kUnmapped && from_.num_hops(cur) > 0) {
+      pending_.push_back(cur);
+      cur = from_.flat_node(cur).tail;
+    }
+    if (memo_[cur] == kUnmapped) memo_[cur] = to_.root(from_.poison_set(cur));
+    PathId mapped = memo_[cur];
+    for (; !pending_.empty(); pending_.pop_back()) {
+      mapped = to_.prepend(mapped, from_.front(pending_.back()));
+      memo_[pending_.back()] = mapped;
+    }
+    return mapped;
+  }
+
+ private:
+  static constexpr PathId kUnmapped = 0xFFFFFFFFu;
+  const PathTable& from_;
+  PathTable& to_;
+  std::vector<PathId> memo_;
+  std::vector<PathId> pending_;  ///< Unmapped suffix chain, outermost first.
+};
 
 }  // namespace
 
@@ -231,10 +265,8 @@ OracleSnapshot OracleSnapshot::load(const std::string& path) {
 }
 
 OracleSnapshot snapshot_study(const PassiveDataset& ds) {
-  IRP_CHECK(ds.engine != nullptr,
-            "snapshot_study requires the live measurement engine");
-  const BgpEngine& engine = *ds.engine;
-  const std::size_t num_ases = engine.topology().num_ases();
+  const ConvergedRib& rib = ds.rib;
+  const std::size_t num_ases = rib.num_ases();
 
   OracleSnapshot snap;
   snap.num_ases = static_cast<std::uint32_t>(num_ases);
@@ -257,30 +289,33 @@ OracleSnapshot snapshot_study(const PassiveDataset& ds) {
   for (const auto& [prefix, pairs] : ds.observations.export_sorted())
     snap.observations.push_back(OracleSnapshot::ObservationBlock{prefix, pairs});
 
-  // Per-(AS, prefix) selected/alternate routes of the measurement engine,
+  // Per-(AS, prefix) selected/alternate routes of the measurement epoch,
   // re-interned into the snapshot's own path table (hash-consing preserves
   // suffix sharing, so the table stays compact).
-  const std::vector<Ipv4Prefix> prefixes = engine.prefixes();
-  snap.routes.reserve(prefixes.size());
-  for (const Ipv4Prefix& prefix : prefixes) {
+  snap.routes.reserve(rib.num_prefixes());
+  const PathTable* source = nullptr;
+  std::optional<PathTranslator> translate;
+  for (std::size_t index = 0; index < rib.num_prefixes(); ++index) {
+    if (&rib.paths(index) != source) {
+      source = &rib.paths(index);
+      translate.emplace(*source, snap.paths);
+    }
     OracleSnapshot::PrefixRoutes pr;
-    pr.prefix = prefix;
+    pr.prefix = rib.prefixes()[index];
     for (Asn asn = 1; asn <= static_cast<Asn>(num_ases); ++asn) {
-      const BgpEngine::Selected* sel = engine.best(asn, prefix);
-      if (sel == nullptr) continue;
+      const std::optional<ConvergedRib::Selected> sel = rib.best(index, asn);
+      if (!sel) continue;
       OracleSnapshot::RouteEntry entry;
       entry.asn = asn;
-      entry.selected = snap.paths.intern(engine.paths().materialize(sel->path_id));
+      entry.selected = (*translate)(sel->path);
       entry.next_hop = sel->next_hop;
       entry.self_originated = sel->self_originated;
       if (sel->self_originated) pr.origin = asn;
-      for (const Route& route : engine.routes_at(asn, prefix)) {
-        if (route.via_link == sel->via_link) continue;  // The selected route.
-        OracleSnapshot::AlternateRoute alt;
-        alt.path = snap.paths.intern(route.path);
-        alt.from_asn = route.from_asn;
-        entry.alternates.push_back(alt);
-      }
+      const ConvergedRib::Alternates alts = rib.alternates(index, asn);
+      entry.alternates.reserve(alts.size());
+      for (std::size_t a = 0; a < alts.size(); ++a)
+        entry.alternates.push_back(OracleSnapshot::AlternateRoute{
+            (*translate)(alts.paths[a]), alts.from_asn[a]});
       pr.entries.push_back(std::move(entry));
     }
     snap.routes.push_back(std::move(pr));

@@ -4,10 +4,10 @@
 // offline — the §3.3-aggregated relationships, sibling clusters, the
 // Giotsas-style complex-relationships dataset, per-prefix BGP observations
 // (§4.3), the interned AS-path table, and the per-(AS, prefix) selected and
-// alternate routes of the measurement-epoch engine — is flattened into plain
-// arrays. Loading is O(bytes): no convergence, no inference, no traceroutes;
-// a loaded snapshot answers every query class identically to the live study
-// it was taken from (test_oracle_snapshot proves this).
+// alternate routes of the measurement epoch's converged RIB — is flattened
+// into plain arrays. Loading is O(bytes): no convergence, no inference, no
+// traceroutes; a loaded snapshot answers every query class identically to
+// the live study it was taken from (test_oracle_snapshot proves this).
 //
 // Wire format (little-endian):
 //   magic u32 | version u32 | payload_size u64 | fnv1a64(payload) u64 | payload
@@ -109,7 +109,7 @@ struct OracleSnapshot {
 };
 
 /// Freezes a completed passive study (aggregated inference products plus the
-/// live measurement-epoch engine) into a snapshot. Requires ds.engine.
+/// measurement epoch's converged RIB) into a snapshot.
 OracleSnapshot snapshot_study(const PassiveDataset& ds);
 
 }  // namespace irp

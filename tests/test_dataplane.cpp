@@ -54,7 +54,8 @@ TEST(Traceroute, WalksToDestinationWithSaneHops) {
   engine.announce(pfx, dst);
   engine.run();
 
-  TracerouteSim sim{&t.topo, &engine};
+  const ConvergedRib rib = engine.freeze();
+  TracerouteSim sim{&t.topo, &rib};
   const auto tr = sim.run(src, t.prefix_of(src).address_at(9),
                           pfx.address_at(20), pfx);
   ASSERT_TRUE(tr.has_value());
@@ -81,7 +82,8 @@ TEST(Traceroute, NoRouteAtSourceReturnsNullopt) {
   const Ipv4Prefix pfx = t.prefix_of(dst);
   engine.announce(pfx, dst);
   engine.run();
-  TracerouteSim sim{&t.topo, &engine};
+  const ConvergedRib rib = engine.freeze();
+  TracerouteSim sim{&t.topo, &rib};
   EXPECT_FALSE(sim.run(src, t.prefix_of(src).address_at(1), pfx.address_at(1),
                        pfx)
                    .has_value());
@@ -93,7 +95,8 @@ TEST(Traceroute, RejectsAddressOutsidePrefix) {
   const Asn a = t.add();
   GroundTruthPolicy policy{&t.topo};
   BgpEngine engine{&t.topo, &policy, 0};
-  TracerouteSim sim{&t.topo, &engine};
+  const ConvergedRib rib = engine.freeze();
+  TracerouteSim sim{&t.topo, &rib};
   EXPECT_THROW(sim.run(a, Ipv4Addr{}, *Ipv4Addr::parse("9.9.9.9"),
                        t.prefix_of(a)),
                CheckError);

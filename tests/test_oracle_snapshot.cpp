@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/classify.hpp"
+#include "serve/byte_io.hpp"
 #include "serve/oracle_service.hpp"
 #include "test_support.hpp"
 #include "util/check.hpp"
@@ -96,7 +97,11 @@ TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
   const StudyFixture& f = study();
   const OracleSnapshot loaded = OracleSnapshot::from_bytes(f.bytes);
   const OracleIndex index(&loaded);
-  const BgpEngine& engine = *f.passive.engine;
+  // The dataset keeps only the frozen RIB; converge the measurement epoch
+  // again on one live engine, the monolithic reference.
+  BgpEngine engine{&f.net->topology, f.passive.policy.get(),
+                   f.net->measurement_epoch};
+  announce_all(engine, f.net->topology, content_related_ases(*f.net));
 
   std::size_t route_entries = 0;
   for (const Ipv4Prefix& prefix : engine.prefixes()) {
@@ -130,6 +135,24 @@ TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {
     }
   }
   EXPECT_EQ(route_entries, loaded.num_route_entries());
+}
+
+// fnv1a64 of the fixture image (header included). The image is a pure
+// function of the study, so it must not move with the thread count or with
+// how the measurement epoch is converged and stored. Re-record this value
+// only for an intended change of the snapshot format or of the study itself.
+constexpr std::uint64_t kPinnedFixtureImageFnv = 0x130be87d7e49409cULL;
+
+TEST(OracleSnapshot, ImageBytesArePinned) {
+  const StudyFixture& f = study();
+  for (const int threads : {1, 2, 4}) {
+    PassiveStudyConfig config = test::small_passive_config();
+    config.parallel.threads = threads;
+    const std::string bytes =
+        snapshot_study(run_passive_study(*f.net, config)).to_bytes();
+    EXPECT_EQ(fnv1a64(bytes), kPinnedFixtureImageFnv)
+        << "threads=" << threads << " got 0x" << std::hex << fnv1a64(bytes);
+  }
 }
 
 TEST(OracleSnapshot, RejectsBadMagic) {
