@@ -57,18 +57,6 @@ if command -v python3 >/dev/null 2>&1; then
   done
 fi
 
-# A full (unfiltered) run must leave every serving-layer baseline behind; a
-# bench that silently stopped emitting its JSON would otherwise freeze the
-# old numbers forever.
-if [ -z "$filter" ]; then
-  for required in BENCH_oracle.json BENCH_multistudy.json; do
-    if [ ! -f "$repo_root/$required" ]; then
-      printf 'MISSING BASELINE: %s was not emitted\n' "$required"
-      status=1
-    fi
-  done
-fi
-
 # The docs must describe the tree that produced these numbers.
 printf '\n'
 "$repo_root/tools/check_docs.sh" || status=$?

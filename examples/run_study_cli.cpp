@@ -27,24 +27,19 @@
 //       either way.
 //
 //   run_study_cli serve --snapshot [NAME=]FILE [--cache-budget N]
-//                       [--study NAME] [--queries FILE] [--workers N]
-//                       [--queue N]
+//                       [--study NAME] [--queries FILE]
 //   run_study_cli serve --snapshot [NAME=]FILE [--cache-budget N]
 //                       --listen PORT [--bind ADDR]
 //       --snapshot is repeatable: `NAME=FILE` hosts several studies behind
-//       one endpoint sharing a path arena and one classify-cache budget
-//       (--cache-budget entries total, rebalanced by per-study hit rates).
-//       Without --listen: the same query stream, submitted through the
-//       concurrent OracleService (bounded queue + worker pool) against
-//       --study; prints each response in submission order, then the service
-//       stats. Overloaded submissions are reported as "rejected (queue
-//       full)". With --listen: serves OracleWire over TCP until
+//       one endpoint sharing one classify-cache budget (--cache-budget
+//       entries total, split evenly over the studies). Without --listen:
+//       answers the query stream against --study through the counted
+//       OracleService::serve() path, prints each response in order, then
+//       the service stats. With --listen: serves OracleWire over TCP until
 //       SIGINT/SIGTERM, then drains gracefully and prints wire + service
-//       stats. Each request is answered on the server's poll thread, so
-//       there is no worker pool or queue to size: --workers and --queue are
-//       usage errors with --listen. --listen 0 picks an ephemeral port
-//       (printed on startup). --bind defaults to 127.0.0.1; use 0.0.0.0 to
-//       accept remote hosts.
+//       stats. Each request is answered on the server's poll thread.
+//       --listen 0 picks an ephemeral port (printed on startup). --bind
+//       defaults to 127.0.0.1; use 0.0.0.0 to accept remote hosts.
 //
 // --scale multiplies the edge population (stubs and access ISPs); the
 // default (1) matches the paper-calibrated configuration. --threads runs
@@ -86,7 +81,7 @@ namespace {
       "       %s query {--snapshot [NAME=]FILE ... | --connect HOST:PORT}\n"
       "          [--study NAME] [--queries FILE]\n"
       "       %s serve --snapshot [NAME=]FILE ... [--cache-budget N]\n"
-      "          [--study NAME] [--queries FILE] [--workers N] [--queue N]\n"
+      "          [--study NAME] [--queries FILE]\n"
       "       %s serve --snapshot [NAME=]FILE ... [--cache-budget N]\n"
       "          --listen PORT [--bind ADDR]\n",
       argv0, argv0, argv0, argv0, argv0);
@@ -145,15 +140,8 @@ void load_catalog(StudyCatalog& catalog,
     std::fprintf(stderr,
                  "# loaded study %s (%zu prefixes, %zu paths, %zu bytes)\n",
                  study.id.c_str(), study.snapshot.routes.size(),
-                 study.own_paths, study.image_bytes);
-  }
-  if (catalog.size() > 1) {
-    const StudyCatalog::ArenaStats arena = catalog.arena_stats();
-    std::fprintf(stderr,
-                 "# shared path arena: %zu nodes for %zu study paths "
-                 "(%.1f%% shared)\n",
-                 arena.arena_paths, arena.sum_study_paths,
-                 arena.sharing() * 100.0);
+                 static_cast<std::size_t>(study.snapshot.paths.num_paths()),
+                 study.image_bytes);
   }
 }
 
@@ -330,7 +318,7 @@ int cmd_query(int argc, char** argv) {
 
   StudyCatalog catalog;
   load_catalog(catalog, snapshots);
-  OracleService service(&catalog, OracleService::Config{0, 1});
+  const OracleService service(&catalog);
 
   for (const OracleRequest& request : read_queries(queries_file))
     std::printf("%s\n", to_text(service.answer(request, study)).c_str());
@@ -338,40 +326,36 @@ int cmd_query(int argc, char** argv) {
 }
 
 void print_service_stats(const OracleStatsView& stats) {
-  std::printf("# served=%llu rejected=%llu unknown_study=%llu peak_queue=%zu "
+  // peak_queue=0 is a literal: the service has no queue, but the benchmark's
+  // drain parser (perfbench/run.py, parse_drain_stats) still reads the field.
+  std::printf("# served=%llu unknown_study=%llu peak_queue=0 "
               "cache_hit_rate=%.3f\n",
               static_cast<unsigned long long>(stats.served),
-              static_cast<unsigned long long>(stats.rejected),
               static_cast<unsigned long long>(stats.unknown_study),
-              stats.peak_queue_depth, stats.cache.hit_rate());
+              stats.cache.hit_rate());
   for (int t = 0; t < kNumQueryTypes; ++t) {
     const auto& pt = stats.per_type[t];
-    if (pt.served == 0 && pt.rejected == 0) continue;
-    std::printf("#   %s: served=%llu rejected=%llu p50=%.1fus p99=%.1fus\n",
+    if (pt.served == 0) continue;
+    std::printf("#   %s: served=%llu p50=%.1fus p99=%.1fus\n",
                 std::string(query_type_name(static_cast<QueryType>(t))).c_str(),
-                static_cast<unsigned long long>(pt.served),
-                static_cast<unsigned long long>(pt.rejected), pt.p50_us,
+                static_cast<unsigned long long>(pt.served), pt.p50_us,
                 pt.p99_us);
   }
   if (stats.per_study.size() <= 1) return;
   for (const auto& per : stats.per_study) {
-    std::printf("#   study %s: served=%llu rejected=%llu p50=%.1fus "
-                "p99=%.1fus cache_quota=%zu cache_hit_rate=%.3f\n",
-                per.name.c_str(),
-                static_cast<unsigned long long>(per.served),
-                static_cast<unsigned long long>(per.rejected), per.p50_us,
-                per.p99_us, per.cache.capacity, per.cache.hit_rate());
+    std::printf("#   study %s: served=%llu p50=%.1fus p99=%.1fus "
+                "cache_quota=%zu cache_hit_rate=%.3f\n",
+                per.name.c_str(), static_cast<unsigned long long>(per.served),
+                per.p50_us, per.p99_us, per.cache.capacity,
+                per.cache.hit_rate());
   }
 }
 
 /// `serve --listen`: OracleWire over TCP until SIGINT/SIGTERM, then a
 /// graceful drain (requests already read answered, new connections
-/// refused). The poll thread answers every request itself, so the service
-/// runs without workers.
+/// refused). The poll thread answers every request itself.
 int serve_network(const StudyCatalog& catalog,
-                  OracleService::Config service_cfg,
                   OracleServer::Config server_cfg) {
-  service_cfg.worker_threads = 0;
   // Block the shutdown signals before any thread exists so the poll thread
   // inherits the mask and sigwait() below is race-free.
   sigset_t signals;
@@ -380,7 +364,7 @@ int serve_network(const StudyCatalog& catalog,
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-  OracleService service(&catalog, service_cfg);
+  OracleService service(&catalog);
   OracleServer server(&service, server_cfg);
   server.start();
   std::printf("oracle serving %zu stud%s on %s:%u (answered on the poll "
@@ -393,19 +377,20 @@ int serve_network(const StudyCatalog& catalog,
   sigwait(&signals, &sig);
   std::printf("signal %d: draining...\n", sig);
   server.shutdown();  // Answers everything read, refuses new work.
-  service.shutdown();
 
   const WireServerStats wire = server.stats();
+  // shed=0 is a literal: overload is TCP backpressure and nothing is shed,
+  // but the benchmark's drain parser (perfbench/run.py, parse_drain_stats)
+  // still reads the field.
   std::printf(
       "# wire: conns=%llu refused=%llu frames_in=%llu frames_out=%llu "
-      "admitted=%llu shed=%llu unknown_study=%llu decode_errors=%llu "
+      "admitted=%llu shed=0 unknown_study=%llu decode_errors=%llu "
       "bytes_in=%llu bytes_out=%llu\n",
       static_cast<unsigned long long>(wire.connections_accepted),
       static_cast<unsigned long long>(wire.connections_refused),
       static_cast<unsigned long long>(wire.frames_in),
       static_cast<unsigned long long>(wire.frames_out),
       static_cast<unsigned long long>(wire.requests_admitted),
-      static_cast<unsigned long long>(wire.requests_shed),
       static_cast<unsigned long long>(wire.requests_unknown_study),
       static_cast<unsigned long long>(wire.decode_errors),
       static_cast<unsigned long long>(wire.bytes_in),
@@ -425,11 +410,9 @@ int serve_network(const StudyCatalog& catalog,
 int cmd_serve(int argc, char** argv) {
   std::vector<SnapshotSpec> snapshots;
   std::string queries_file, study;
-  OracleService::Config service_config;
-  service_config.worker_threads = 2;
   OracleServer::Config server_config;
   StudyCatalogConfig catalog_config;
-  bool listen = false, queue_flags = false;
+  bool listen = false;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* {
@@ -442,15 +425,7 @@ int cmd_serve(int argc, char** argv) {
       queries_file = next();
     else if (arg == "--study")
       study = next();
-    else if (arg == "--workers") {
-      queue_flags = true;
-      service_config.worker_threads =
-          static_cast<int>(u64_flag(argv[0], "--workers", next(), 1, 4096));
-    } else if (arg == "--queue") {
-      queue_flags = true;
-      service_config.queue_capacity = static_cast<std::size_t>(
-          u64_flag(argv[0], "--queue", next(), 1, 100'000'000));
-    } else if (arg == "--cache-budget")
+    else if (arg == "--cache-budget")
       catalog_config.total_cache_capacity = static_cast<std::size_t>(
           u64_flag(argv[0], "--cache-budget", next(), 0, 100'000'000));
     else if (arg == "--listen") {
@@ -464,35 +439,19 @@ int cmd_serve(int argc, char** argv) {
   }
   if (snapshots.empty()) usage(argv[0]);
   if (listen && !queries_file.empty()) usage(argv[0]);
-  if (listen && queue_flags) {
-    std::fprintf(stderr,
-                 "error: --workers and --queue size the --queries worker "
-                 "pool; --listen answers on its poll thread\n");
-    usage(argv[0]);
-  }
 
   StudyCatalog catalog(catalog_config);
   load_catalog(catalog, snapshots);
-  // Re-weight each study's classify-cache quota every few thousand answers
-  // so a hot study earns capacity from cold ones (docs/OPERATIONS.md).
-  if (catalog.size() > 1) service_config.cache_rebalance_every = 4096;
-  if (listen) return serve_network(catalog, service_config, server_config);
-  OracleService service(&catalog, service_config);
+  if (listen) return serve_network(catalog, server_config);
+  OracleService service(&catalog);
 
-  const std::vector<OracleRequest> queries = read_queries(queries_file);
-  std::vector<OracleService::Submitted> submitted;
-  submitted.reserve(queries.size());
-  for (const OracleRequest& request : queries)
-    submitted.push_back(service.submit(request, study));
-  for (OracleService::Submitted& s : submitted) {
-    if (s.reject == OracleService::Reject::kUnknownStudy)
+  for (const OracleRequest& request : read_queries(queries_file)) {
+    try {
+      std::printf("%s\n", to_text(service.serve(request, study)).c_str());
+    } catch (const UnknownStudyError&) {
       std::printf("rejected (unknown study)\n");
-    else if (!s.accepted)
-      std::printf("rejected (queue full)\n");
-    else
-      std::printf("%s\n", to_text(s.response.get()).c_str());
+    }
   }
-  service.shutdown();
   print_service_stats(service.stats());
   return 0;
 }

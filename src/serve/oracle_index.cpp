@@ -127,17 +127,10 @@ ClassifyCache::Stats ClassifyCache::stats() const {
 
 OracleIndex::OracleIndex(const OracleSnapshot* snapshot,
                          OracleIndexConfig config)
-    : OracleIndex(snapshot, nullptr, config) {}
-
-OracleIndex::OracleIndex(const OracleSnapshot* snapshot,
-                         const PathTable* shared_paths,
-                         OracleIndexConfig config)
     : snap_(snapshot),
-      paths_(shared_paths),
       route_shards_(std::max<std::size_t>(1, config.route_shards)),
       cache_(config.cache_capacity, config.cache_shards) {
   IRP_CHECK(snap_ != nullptr, "oracle index requires a snapshot");
-  if (paths_ == nullptr) paths_ = &snap_->paths;
 
   // Rebuild the study views. Insertion through the same public mutators the
   // live pipeline uses guarantees the materialized state is identical to the

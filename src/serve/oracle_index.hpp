@@ -83,8 +83,8 @@ class ClassifyCache {
   /// Re-budgets the cache in place: the new total is split over the existing
   /// shards and each shard's LRU tail is trimmed to the new per-shard bound.
   /// Thread-safe against concurrent get/put; capacity 0 disables the cache
-  /// (and drops everything cached). StudyCatalog uses this to move quota
-  /// between studies sharing one budget.
+  /// (and drops everything cached). StudyCatalog uses this to split one
+  /// budget evenly over its studies as each one loads.
   void set_capacity(std::size_t capacity);
   std::size_t capacity() const {
     return capacity_.load(std::memory_order_relaxed);
@@ -123,13 +123,6 @@ class OracleIndex {
   explicit OracleIndex(const OracleSnapshot* snapshot,
                        OracleIndexConfig config = {});
 
-  /// Multi-study form: `shared_paths` (when non-null) overrides the
-  /// snapshot's own path table as the arena behind paths() — the snapshot's
-  /// route entries must already hold PathIds of that arena (StudyCatalog
-  /// remaps them on load). The arena must outlive the index.
-  OracleIndex(const OracleSnapshot* snapshot, const PathTable* shared_paths,
-              OracleIndexConfig config);
-
   OracleIndex(const OracleIndex&) = delete;
   OracleIndex& operator=(const OracleIndex&) = delete;
 
@@ -139,7 +132,7 @@ class OracleIndex {
   const HybridDataset& hybrid() const { return hybrid_; }
   const BgpObservations& observations() const { return observations_; }
   const DecisionClassifier& classifier() const { return *classifier_; }
-  const PathTable& paths() const { return *paths_; }
+  const PathTable& paths() const { return snap_->paths; }
   std::size_t num_ases() const { return snap_->num_ases; }
 
   /// Classification with DecisionClassifier semantics, memoized through the
@@ -176,7 +169,6 @@ class OracleIndex {
   };
 
   const OracleSnapshot* snap_;
-  const PathTable* paths_;
   InferredTopology topo_;
   SiblingGroups siblings_;
   HybridDataset hybrid_;

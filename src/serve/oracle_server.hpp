@@ -5,9 +5,8 @@
 // completion: it accepts connections, reads and frame-decodes requests
 // (wire.hpp), evaluates each one through OracleService::serve(), encodes
 // the answer and appends it to the connection's output, all in the same
-// wake. Nothing queues between the socket and the index, the service needs
-// no worker threads, and the loop sleeps in poll() until traffic, the wake
-// pipe, or the drain deadline.
+// wake. Nothing queues between the socket and the index, and the loop
+// sleeps in poll() until traffic, the wake pipe, or the drain deadline.
 //
 // Overload is TCP backpressure, not shedding. Each connection may hold a
 // fixed number of unsent reply bytes; above it the loop stops reading that
@@ -64,8 +63,6 @@ struct WireServerStats {
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
   std::uint64_t requests_admitted = 0;  ///< Evaluated against a hosted study.
-  std::uint64_t requests_shed = 0;  ///< kOverloaded frames sent; always 0
-                                    ///< (overload is backpressure).
   std::uint64_t requests_unknown_study = 0;  ///< kUnknownStudy frames sent.
   std::uint64_t decode_errors = 0;      ///< Connections poisoned by bad bytes.
   std::uint64_t bytes_in = 0;
@@ -73,9 +70,9 @@ struct WireServerStats {
   std::array<PerType, kNumQueryTypes> per_type{};
 };
 
-/// TCP front for one OracleService. The service (and its index/snapshot)
-/// must outlive the server; it may run with worker_threads == 0, since the
-/// server never uses its queue.
+/// TCP front for one OracleService. The service (and its catalog) must
+/// outlive the server; every request is answered through
+/// OracleService::serve() on the poll thread.
 class OracleServer {
  public:
   struct Config {

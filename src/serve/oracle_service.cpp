@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 
@@ -161,191 +162,51 @@ double LatencyHistogram::quantile_us(double q) const {
   return 0;
 }
 
-OracleService::OracleService(const OracleIndex* index, Config config)
-    : index_(index), catalog_(nullptr), config_(config) {
-  IRP_CHECK(index_ != nullptr, "oracle service requires an index");
-  IRP_CHECK(config_.worker_threads >= 0, "worker_threads must be >= 0");
-  IRP_CHECK(config_.queue_capacity > 0, "queue_capacity must be positive");
-  study_counters_.push_back(std::make_unique<TypeCounters>());
-  workers_.reserve(static_cast<std::size_t>(config_.worker_threads));
-  for (int i = 0; i < config_.worker_threads; ++i)
-    workers_.emplace_back([this] { worker_main(); });
-}
-
-OracleService::OracleService(const OracleIndex* index)
-    : OracleService(index, Config{}) {}
-
-OracleService::OracleService(const StudyCatalog* catalog, Config config)
-    : index_(nullptr), catalog_(catalog), config_(config) {
+OracleService::OracleService(const StudyCatalog* catalog)
+    : catalog_(catalog) {
   IRP_CHECK(catalog_ != nullptr, "oracle service requires a catalog");
   IRP_CHECK(catalog_->size() > 0, "oracle service catalog holds no studies");
-  IRP_CHECK(config_.worker_threads >= 0, "worker_threads must be >= 0");
-  IRP_CHECK(config_.queue_capacity > 0, "queue_capacity must be positive");
-  index_ = catalog_->default_study()->index.get();
   for (std::size_t i = 0; i < catalog_->size(); ++i)
     study_counters_.push_back(std::make_unique<TypeCounters>());
-  workers_.reserve(static_cast<std::size_t>(config_.worker_threads));
-  for (int i = 0; i < config_.worker_threads; ++i)
-    workers_.emplace_back([this] { worker_main(); });
 }
 
-OracleService::~OracleService() { shutdown(); }
+OracleService::OracleService(const StudyCatalog* catalog, Config config)
+    : OracleService(catalog) {
+  IRP_CHECK(config.worker_threads == 0,
+            "oracle service has no workers: worker_threads must be 0");
+}
 
-const OracleIndex* OracleService::resolve(std::string_view study,
-                                          std::uint32_t* ordinal) const {
-  if (catalog_ == nullptr) {
-    // Single-index mode hosts exactly one anonymous study.
-    if (!study.empty()) return nullptr;
-    *ordinal = 0;
-    return index_;
-  }
+const StudyCatalog::Study& OracleService::resolve(
+    std::string_view study) const {
   const StudyCatalog::Study* found = catalog_->find(study);
-  if (found == nullptr) return nullptr;
-  *ordinal = found->ordinal;
-  return found->index.get();
-}
-
-OracleResponse OracleService::answer(const OracleRequest& request) const {
-  return std::visit(Evaluator{index_}, request);
+  if (found == nullptr) {
+    unknown_study_.fetch_add(1, std::memory_order_relaxed);
+    throw UnknownStudyError(study);
+  }
+  return *found;
 }
 
 OracleResponse OracleService::answer(const OracleRequest& request,
                                      std::string_view study) const {
-  std::uint32_t ordinal = 0;
-  const OracleIndex* index = resolve(study, &ordinal);
-  if (index == nullptr) {
-    unknown_study_.fetch_add(1, std::memory_order_relaxed);
-    throw UnknownStudyError(study);
-  }
-  return std::visit(Evaluator{index}, request);
+  return std::visit(Evaluator{resolve(study).index.get()}, request);
 }
 
 OracleResponse OracleService::serve(const OracleRequest& request,
                                     std::string_view study) {
   const auto since = std::chrono::steady_clock::now();
-  std::uint32_t ordinal = 0;
-  const OracleIndex* index = resolve(study, &ordinal);
-  if (index == nullptr) {
-    unknown_study_.fetch_add(1, std::memory_order_relaxed);
-    throw UnknownStudyError(study);
-  }
-  return serve_resolved(request, index, ordinal, since);
-}
-
-OracleResponse OracleService::serve_resolved(
-    const OracleRequest& request, const OracleIndex* index,
-    std::uint32_t study_ordinal,
-    std::chrono::steady_clock::time_point since) {
-  OracleResponse response = std::visit(Evaluator{index}, request);
+  const StudyCatalog::Study& found = resolve(study);
+  OracleResponse response = std::visit(Evaluator{found.index.get()}, request);
   const auto nanos = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - since)
           .count());
   TypeCounters& counters = counters_[static_cast<int>(query_type(request))];
-  TypeCounters& study_counters = *study_counters_[study_ordinal];
+  TypeCounters& study_counters = *study_counters_[found.ordinal];
   counters.latency.record(nanos);
   counters.served.fetch_add(1, std::memory_order_relaxed);
   study_counters.latency.record(nanos);
   study_counters.served.fetch_add(1, std::memory_order_relaxed);
-  // Rebalance before the answer leaves, so a caller that sees the answer
-  // also sees the quotas it moved.
-  if (config_.cache_rebalance_every > 0 && catalog_ != nullptr) {
-    const std::uint64_t served =
-        served_total_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (served % config_.cache_rebalance_every == 0)
-      catalog_->rebalance_cache();
-  }
   return response;
-}
-
-void OracleService::serve_one(Pending& pending) {
-  try {
-    pending.promise.set_value(serve_resolved(pending.request, pending.index,
-                                             pending.study_ordinal,
-                                             pending.enqueued));
-  } catch (...) {
-    pending.promise.set_exception(std::current_exception());
-  }
-}
-
-void OracleService::worker_main() {
-  for (;;) {
-    Pending pending;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and fully drained.
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    serve_one(pending);
-  }
-}
-
-OracleService::Submitted OracleService::submit(OracleRequest request) {
-  return submit(std::move(request), std::string_view{});
-}
-
-OracleService::Submitted OracleService::submit(OracleRequest request,
-                                               std::string_view study) {
-  Pending pending;
-  pending.request = std::move(request);
-  pending.index = resolve(study, &pending.study_ordinal);
-  if (pending.index == nullptr) {
-    unknown_study_.fetch_add(1, std::memory_order_relaxed);
-    Submitted shed;
-    shed.reject = Reject::kUnknownStudy;
-    return shed;
-  }
-  pending.enqueued = std::chrono::steady_clock::now();
-  std::future<OracleResponse> future = pending.promise.get_future();
-  const QueryType type = query_type(pending.request);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || queue_.size() >= config_.queue_capacity) {
-      counters_[static_cast<int>(type)].rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      study_counters_[pending.study_ordinal]->rejected.fetch_add(
-          1, std::memory_order_relaxed);
-      Submitted shed;  // Overload: shed rather than grow or stall.
-      shed.reject = Reject::kOverloaded;
-      return shed;
-    }
-    queue_.push_back(std::move(pending));
-    peak_queue_depth_ = std::max(peak_queue_depth_, queue_.size());
-  }
-  cv_.notify_one();
-  return Submitted{true, std::move(future), Reject::kNone};
-}
-
-std::size_t OracleService::drain(std::size_t max_requests) {
-  std::size_t served = 0;
-  while (served < max_requests) {
-    Pending pending;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (queue_.empty()) break;
-      pending = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    serve_one(pending);
-    ++served;
-  }
-  return served;
-}
-
-void OracleService::shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-  workers_.clear();
-  // Deterministic mode (no workers): serve what was accepted before the
-  // stop, honoring the accepted-implies-answered contract.
-  drain();
 }
 
 OracleStatsView OracleService::stats() const {
@@ -353,49 +214,34 @@ OracleStatsView OracleService::stats() const {
   for (int t = 0; t < kNumQueryTypes; ++t) {
     const TypeCounters& c = counters_[t];
     view.per_type[t].served = c.served.load(std::memory_order_relaxed);
-    view.per_type[t].rejected = c.rejected.load(std::memory_order_relaxed);
     view.per_type[t].p50_us = c.latency.quantile_us(0.50);
     view.per_type[t].p99_us = c.latency.quantile_us(0.99);
     view.served += view.per_type[t].served;
-    view.rejected += view.per_type[t].rejected;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    view.peak_queue_depth = peak_queue_depth_;
   }
   view.unknown_study = unknown_study_.load(std::memory_order_relaxed);
 
   view.per_study.reserve(study_counters_.size());
   for (std::size_t i = 0; i < study_counters_.size(); ++i) {
-    OracleStatsView::PerStudy per;
-    if (catalog_ != nullptr) {
-      per.name = catalog_->studies()[i]->name;
-      per.cache = catalog_->studies()[i]->index->cache_stats();
-    } else {
-      per.cache = index_->cache_stats();
-    }
+    const StudyCatalog::Study& study = *catalog_->studies()[i];
     const TypeCounters& c = *study_counters_[i];
+    OracleStatsView::PerStudy per;
+    per.name = study.name;
+    per.cache = study.index->cache_stats();
     per.served = c.served.load(std::memory_order_relaxed);
-    per.rejected = c.rejected.load(std::memory_order_relaxed);
     per.p50_us = c.latency.quantile_us(0.50);
     per.p99_us = c.latency.quantile_us(0.99);
     view.per_study.push_back(std::move(per));
   }
 
-  if (catalog_ == nullptr) {
-    view.cache = index_->cache_stats();
-  } else {
-    // Aggregate across studies; the capacity reported is the shared budget,
-    // not the sum of the (rebalancing) per-study quotas.
-    for (const OracleStatsView::PerStudy& per : view.per_study) {
-      view.cache.hits += per.cache.hits;
-      view.cache.misses += per.cache.misses;
-      view.cache.evictions += per.cache.evictions;
-      view.cache.entries += per.cache.entries;
-      view.cache.shards += per.cache.shards;
-    }
-    view.cache.capacity = catalog_->cache_budget().total_capacity;
+  // Aggregate across studies; the capacity reported is the shared budget.
+  for (const OracleStatsView::PerStudy& per : view.per_study) {
+    view.cache.hits += per.cache.hits;
+    view.cache.misses += per.cache.misses;
+    view.cache.evictions += per.cache.evictions;
+    view.cache.entries += per.cache.entries;
+    view.cache.shards += per.cache.shards;
   }
+  view.cache.capacity = catalog_->cache_budget().total_capacity;
   return view;
 }
 

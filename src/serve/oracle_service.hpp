@@ -1,34 +1,23 @@
-// RouteOracle service front: typed queries, one counted evaluation path,
-// and an optional bounded worker pool with admission control.
+// RouteOracle service front: typed queries and one counted evaluation path
+// over a StudyCatalog.
 //
 // Four query classes cover what the paper answers one offline pass at a
 // time: ClassifyDecision (the §4 GR-validity ladder), AlternateRoutes (the
 // §3.2/§4.4 per-AS route diversity), PspVisibility (the §4.3 criteria
 // inputs) and RelationshipLookup (inference/sibling output).
 //
-// Three entry points, one accounting path:
+// Two entry points over the same evaluation:
 //   * serve() evaluates on the calling thread and counts the request (per
-//     type, per study, latency, periodic cache rebalancing). It is what the
-//     network server calls for every decoded frame, so a wire request never
-//     queues between the socket and the index.
-//   * submit() runs admission control against a bounded MPMC queue: when
-//     the queue is full the request is rejected immediately with
-//     accepted == false. Accepted requests are always answered, including
-//     during shutdown, through the same counted path as serve().
-//   * answer() is the uncounted synchronous bypass (tools, ground truth).
+//     type, per study, latency). The network server calls it for every
+//     decoded frame, so a wire request never queues between the socket and
+//     the index.
+//   * answer() is the uncounted bypass (tools, ground truth).
+// A single study is a catalog of one.
 //
-// Two execution modes for the queue:
-//   * worker_threads >= 1 — background workers pop the queue and fulfil the
-//     response futures; clients pipeline as deep as the queue allows.
-//   * worker_threads == 0 — deterministic single-thread mode: nothing runs
-//     until the owner calls drain(), which serves queued requests in FIFO
-//     order on the calling thread. test_oracle_determinism proves the two
-//     modes produce byte-identical answers for the same query stream. A
-//     network server needs no workers at all (it calls serve()).
-//
-// Every answer is a pure function of the (immutable) index, so responses
-// are deterministic regardless of worker count, interleaving, or cache
-// state; timing-dependent values live only in OracleStatsView.
+// Every answer is a pure function of the (immutable) study image, so
+// responses are deterministic regardless of how many threads call serve()
+// or of the cache state; timing-dependent values live only in
+// OracleStatsView.
 //
 // Remote access: serve/oracle_server.hpp exposes this service over TCP via
 // the OracleWire protocol (serve/wire.hpp, spec in docs/PROTOCOL.md);
@@ -37,16 +26,10 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <limits>
-#include <mutex>
+#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <variant>
 #include <vector>
 
@@ -168,157 +151,76 @@ class LatencyHistogram {
 struct OracleStatsView {
   struct PerType {
     std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
     double p50_us = 0;
     double p99_us = 0;
   };
   struct PerStudy {
     std::string name;
     std::uint64_t served = 0;
-    std::uint64_t rejected = 0;
     double p50_us = 0;
     double p99_us = 0;
     ClassifyCache::Stats cache;
   };
   std::array<PerType, kNumQueryTypes> per_type{};
-  /// One entry per hosted study (single-index services report one unnamed
-  /// entry); ordered by load order, [0] is the default study.
+  /// One entry per hosted study, in load order; [0] is the default study.
   std::vector<PerStudy> per_study;
   std::uint64_t served = 0;
-  std::uint64_t rejected = 0;
-  /// Submissions naming a study the service does not host.
+  /// Requests naming a study the service does not host.
   std::uint64_t unknown_study = 0;
-  std::size_t peak_queue_depth = 0;
   /// Aggregated over every study (capacity = the shared budget).
   ClassifyCache::Stats cache;
 };
 
-/// Concurrent query server over one OracleIndex or a multi-study
-/// StudyCatalog (one shared admission queue and worker pool either way;
-/// requests carry an optional study id routed at submit time).
+/// Query front over every study of a StudyCatalog. Thread-safe: any number
+/// of threads may call serve(), answer() and stats() concurrently.
 class OracleService {
  public:
+  /// Kept only so perfbench/src/loadgen.cpp's `OracleService(&catalog,
+  /// Config{0, 1})` still compiles; it goes with the next perfbench change.
+  /// The service has no workers or queue to configure: the constructor
+  /// checks worker_threads == 0.
   struct Config {
-    /// Background workers; 0 selects the deterministic manual-drain mode.
-    int worker_threads = 1;
-    /// Admission-control bound: submit() rejects once this many requests
-    /// are queued (in-flight requests do not count).
-    std::size_t queue_capacity = 1024;
-    /// Catalog mode only: every this-many served requests the shared
-    /// classify-cache budget is rebalanced by per-study hit rates
-    /// (StudyCatalog::rebalance_cache). 0 disables periodic rebalancing.
-    std::uint64_t cache_rebalance_every = 0;
+    int worker_threads = 0;
+    std::size_t queue_capacity = 1;
   };
 
-  OracleService(const OracleIndex* index, Config config);
-  explicit OracleService(const OracleIndex* index);
   /// Serves every study in `catalog` (which must be fully loaded and must
   /// outlive the service); "" routes to the catalog's default study.
+  explicit OracleService(const StudyCatalog* catalog);
   OracleService(const StudyCatalog* catalog, Config config);
-  ~OracleService();
 
   OracleService(const OracleService&) = delete;
   OracleService& operator=(const OracleService&) = delete;
 
-  /// Why a submission was not accepted.
-  enum class Reject : std::uint8_t {
-    kNone = 0,       ///< Accepted.
-    kOverloaded,     ///< Queue full or shutting down; retryable.
-    kUnknownStudy,   ///< Study id matches nothing hosted; not retryable.
-  };
-
-  /// Admission result: `accepted == false` means the request was shed
-  /// (`reject` says why); the future is only valid when accepted.
-  struct Submitted {
-    bool accepted = false;
-    std::future<OracleResponse> response;
-    Reject reject = Reject::kNone;
-  };
-
-  /// Enqueues a query against the default study; never blocks.
-  Submitted submit(OracleRequest request);
-
-  /// Enqueues a query against study `study` ("" = default); never blocks.
-  /// An id the service does not host rejects with Reject::kUnknownStudy.
-  Submitted submit(OracleRequest request, std::string_view study);
-
   /// Evaluates a query against study `study` ("" = default) on the calling
-  /// thread and counts it exactly as a queued request is counted when
-  /// served: per-type and per-study `served` and latency, and the
-  /// cache_rebalance_every tick. Throws UnknownStudyError (counted in
-  /// `unknown_study`) for ids the service does not host. Thread-safe; needs
-  /// no workers.
+  /// thread and counts it: per-type and per-study `served` and latency.
+  /// Throws UnknownStudyError (counted in `unknown_study`) for ids the
+  /// service does not host.
   OracleResponse serve(const OracleRequest& request, std::string_view study);
 
-  /// Evaluates a query synchronously on the calling thread without counting
-  /// it (bypasses the queue and the stats; same deterministic answer).
-  OracleResponse answer(const OracleRequest& request) const;
-
-  /// Synchronous evaluation against study `study` ("" = default); throws
-  /// UnknownStudyError for ids the service does not host.
+  /// The same evaluation without counting it; throws UnknownStudyError for
+  /// ids the service does not host.
   OracleResponse answer(const OracleRequest& request,
                         std::string_view study) const;
 
-  /// Serves up to `max_requests` queued requests on the calling thread, in
-  /// FIFO order; returns how many were served. The deterministic mode's
-  /// engine (with workers running it is a no-op most of the time, since
-  /// workers drain the queue first).
-  std::size_t drain(
-      std::size_t max_requests = std::numeric_limits<std::size_t>::max());
-
-  /// Stops accepting new work, serves everything already accepted, joins
-  /// the workers. Idempotent; the destructor calls it.
-  void shutdown();
-
   OracleStatsView stats() const;
-  int worker_threads() const { return config_.worker_threads; }
 
  private:
-  struct Pending {
-    OracleRequest request;
-    /// Resolved at submit time, so workers never re-run study lookup.
-    const OracleIndex* index = nullptr;
-    std::uint32_t study_ordinal = 0;
-    std::promise<OracleResponse> promise;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
   struct TypeCounters {
     std::atomic<std::uint64_t> served{0};
-    std::atomic<std::uint64_t> rejected{0};
     LatencyHistogram latency;
   };
 
-  /// Resolves a study id to its index; nullptr = unknown. `ordinal` gets
-  /// the per-study counter slot on success.
-  const OracleIndex* resolve(std::string_view study,
-                             std::uint32_t* ordinal) const;
-  /// The one counted evaluation: serve() and the queue both end here.
-  /// Latency runs from `since` to the finished answer.
-  OracleResponse serve_resolved(const OracleRequest& request,
-                                const OracleIndex* index,
-                                std::uint32_t study_ordinal,
-                                std::chrono::steady_clock::time_point since);
-  void serve_one(Pending& pending);
-  void worker_main();
+  /// Resolves a study id; counts and throws UnknownStudyError when the
+  /// catalog hosts nothing by that name.
+  const StudyCatalog::Study& resolve(std::string_view study) const;
 
-  const OracleIndex* index_;           ///< Default study's index.
-  const StudyCatalog* catalog_;        ///< nullptr in single-index mode.
-  Config config_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Pending> queue_;
-  bool stopping_ = false;
-  std::size_t peak_queue_depth_ = 0;
-  std::vector<std::thread> workers_;
-
-  mutable std::array<TypeCounters, kNumQueryTypes> counters_;
-  /// One slot per study (slot 0 in single-index mode); heap-allocated
-  /// because the atomics are not movable.
+  const StudyCatalog* catalog_;
+  std::array<TypeCounters, kNumQueryTypes> counters_;
+  /// One slot per study, by ordinal; heap-allocated because the atomics are
+  /// not movable.
   std::vector<std::unique_ptr<TypeCounters>> study_counters_;
   mutable std::atomic<std::uint64_t> unknown_study_{0};
-  std::atomic<std::uint64_t> served_total_{0};
 };
 
 }  // namespace irp

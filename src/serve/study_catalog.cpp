@@ -1,6 +1,5 @@
 #include "serve/study_catalog.hpp"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "serve/byte_io.hpp"
@@ -15,31 +14,6 @@ std::string checksum_hex(std::uint64_t checksum) {
   return std::string(buf);
 }
 
-/// Re-interns every path of `snapshot` into `arena` and rewrites the route
-/// entries to arena ids. One forward pass suffices: from_flat() guarantees
-/// a node's tail precedes it, so by the time node i is visited its tail is
-/// already remapped.
-void merge_paths_into_arena(OracleSnapshot& snapshot, PathTable& arena) {
-  const PathTable& own = snapshot.paths;
-  std::vector<PathId> remap(own.num_paths());
-  for (PathId id = 0; id < own.num_paths(); ++id) {
-    const PathTable::FlatNode node = own.flat_node(id);
-    if (node.num_hops == 0) {
-      const std::vector<Asn>& poison = own.poison_set_at(node.poison);
-      remap[id] = arena.root(poison);
-    } else {
-      remap[id] = arena.prepend(remap[node.tail], node.head);
-    }
-  }
-  for (OracleSnapshot::PrefixRoutes& pr : snapshot.routes) {
-    for (OracleSnapshot::RouteEntry& entry : pr.entries) {
-      entry.selected = remap[entry.selected];
-      for (OracleSnapshot::AlternateRoute& alt : entry.alternates)
-        alt.path = remap[alt.path];
-    }
-  }
-}
-
 }  // namespace
 
 StudyCatalog::StudyCatalog(StudyCatalogConfig config) : config_(config) {}
@@ -52,8 +26,7 @@ const StudyCatalog::Study& StudyCatalog::add_study(std::string name,
             "study name must not contain '=' or '@'");
   IRP_CHECK(find(name) == nullptr, "duplicate study name '" + name + "'");
 
-  // Identity is content-derived: checksum the canonical image bytes before
-  // the arena remap rewrites the path table.
+  // Identity is content-derived: checksum the canonical image bytes.
   const std::string image = snapshot.to_bytes();
 
   auto study = std::make_unique<Study>();
@@ -61,21 +34,17 @@ const StudyCatalog::Study& StudyCatalog::add_study(std::string name,
   study->id = name + "@" + checksum_hex(fnv1a64(image));
   study->ordinal = static_cast<std::uint32_t>(studies_.size());
   study->image_bytes = image.size();
-  study->own_paths = snapshot.paths.num_paths();
   study->snapshot = std::move(snapshot);
-  merge_paths_into_arena(study->snapshot, arena_);
 
   OracleIndexConfig index_config;
   index_config.route_shards = config_.route_shards;
   index_config.cache_shards = config_.cache_shards;
   index_config.cache_capacity = 0;  // Budgeted below, across all studies.
-  study->index = std::make_unique<OracleIndex>(&study->snapshot, &arena_,
-                                               index_config);
+  study->index = std::make_unique<OracleIndex>(&study->snapshot, index_config);
   studies_.push_back(std::move(study));
 
-  // A new study resets every quota to an even split; rebalance_cache() will
-  // skew the split once hit rates accumulate.
-  const std::size_t quota = even_quota();
+  // A new study resets every quota to an even split of the budget.
+  const std::size_t quota = config_.total_cache_capacity / studies_.size();
   for (const auto& s : studies_) s->index->set_cache_capacity(quota);
   return *studies_.back();
 }
@@ -96,46 +65,6 @@ const StudyCatalog::Study* StudyCatalog::find(
 
 const StudyCatalog::Study* StudyCatalog::default_study() const {
   return studies_.empty() ? nullptr : studies_.front().get();
-}
-
-StudyCatalog::ArenaStats StudyCatalog::arena_stats() const {
-  ArenaStats stats;
-  stats.arena_paths = arena_.num_paths();
-  for (const auto& study : studies_) stats.sum_study_paths += study->own_paths;
-  return stats;
-}
-
-std::size_t StudyCatalog::even_quota() const {
-  if (studies_.empty() || config_.total_cache_capacity == 0) return 0;
-  return config_.total_cache_capacity / studies_.size();
-}
-
-void StudyCatalog::rebalance_cache() const {
-  if (studies_.empty()) return;
-  const std::size_t total = config_.total_cache_capacity;
-  if (total == 0) return;
-
-  // The floor cannot exceed an even split, or N floors would overshoot the
-  // budget on their own.
-  const std::size_t floor =
-      std::min(config_.min_study_cache_quota, total / studies_.size());
-  const std::size_t spread = total - floor * studies_.size();
-
-  std::vector<double> weight(studies_.size(), 0.0);
-  double weight_sum = 0.0;
-  for (std::size_t i = 0; i < studies_.size(); ++i) {
-    weight[i] = studies_[i]->index->cache_stats().hit_rate();
-    weight_sum += weight[i];
-  }
-
-  for (std::size_t i = 0; i < studies_.size(); ++i) {
-    const double share =
-        weight_sum == 0.0 ? 1.0 / double(studies_.size())
-                          : weight[i] / weight_sum;
-    const std::size_t quota =
-        floor + static_cast<std::size_t>(double(spread) * share);
-    studies_[i]->index->set_cache_capacity(quota);
-  }
 }
 
 StudyCatalog::CacheBudgetView StudyCatalog::cache_budget() const {

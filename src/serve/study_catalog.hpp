@@ -5,20 +5,14 @@
 // process per snapshot. A catalog loads N OracleSnapshot images, tags each
 // with a study id, and exposes one OracleIndex per study so a single
 // OracleService (and a single TCP endpoint) can answer queries against any
-// of them. Two resources are deliberately shared across studies:
+// of them. A study is exactly its image: each index reads its own
+// snapshot's path table, and Study::snapshot re-serializes to the bytes the
+// study id checksums.
 //
-//   * One path-table arena. Snapshot epochs of the same topology intern
-//     nearly identical AS-path trees; on load every study's paths are
-//     re-interned into one global PathTable (an O(nodes) walk of the flat
-//     image — tails precede their nodes, so a single forward pass remaps
-//     every PathId) and the study's route entries are rewritten to arena
-//     ids. Duplicate suffixes across studies collapse to one node.
-//   * One classify-cache budget. Each study's sharded LRU keeps its own
-//     lock structure (no cross-study contention), but the total entry
-//     budget is a catalog-level constant: quotas start as an even split and
-//     rebalance_cache() re-weights them by observed per-study hit rates, so
-//     a hot epoch absorbs budget from cold ones without any study dropping
-//     below a configured floor.
+// One resource is shared across studies: the classify-cache budget. Each
+// study's sharded LRU keeps its own lock structure (no cross-study
+// contention), but the total entry budget is a catalog-level constant,
+// split evenly over the studies at load.
 //
 // Identity: a study id is "<name>@<fnv1a64 of the snapshot image>" — the
 // operator-supplied name makes it addressable, the content checksum makes
@@ -28,9 +22,8 @@
 // kUnknownStudy.
 //
 // Thread safety: the catalog is immutable after the last add_study() call;
-// queries and rebalance_cache() may then run concurrently from any thread
-// (the only mutable state is inside each study's ClassifyCache, which
-// locks per shard).
+// queries may then run concurrently from any thread (the only mutable state
+// is inside each study's ClassifyCache, which locks per shard).
 #pragma once
 
 #include <cstdint>
@@ -62,25 +55,21 @@ struct StudyCatalogConfig {
   /// (the per-study OracleIndexConfig::cache_capacity is derived from this,
   /// never set directly). 0 disables caching for all studies.
   std::size_t total_cache_capacity = 8192;
-  /// No study's quota falls below this floor during rebalancing (clamped to
-  /// an even split when total/N is smaller).
-  std::size_t min_study_cache_quota = 64;
   std::size_t cache_shards = 8;
   std::size_t route_shards = 8;
 };
 
-/// Immutable-after-load collection of studies sharing one path arena and one
-/// classify-cache budget.
+/// Immutable-after-load collection of studies sharing one classify-cache
+/// budget.
 class StudyCatalog {
  public:
   struct Study {
     std::string name;  ///< Operator-supplied; unique within the catalog.
     std::string id;    ///< "<name>@<16-hex content checksum>".
     std::uint32_t ordinal = 0;  ///< Load order; 0 is the default study.
-    OracleSnapshot snapshot;    ///< Route PathIds remapped to the arena.
+    OracleSnapshot snapshot;    ///< The loaded image, as checksummed.
     std::unique_ptr<OracleIndex> index;
     std::size_t image_bytes = 0;  ///< Serialized snapshot size.
-    std::size_t own_paths = 0;    ///< Path nodes before arena sharing.
   };
 
   explicit StudyCatalog(StudyCatalogConfig config = {});
@@ -89,9 +78,8 @@ class StudyCatalog {
   StudyCatalog& operator=(const StudyCatalog&) = delete;
 
   /// Registers `snapshot` under `name` (nonempty, no '=' or '@', unique);
-  /// the first study added becomes the default. Re-interns the snapshot's
-  /// paths into the shared arena and resets every study's cache quota to an
-  /// even split of the budget. Returns the new study.
+  /// the first study added becomes the default. Resets every study's cache
+  /// quota to an even split of the budget. Returns the new study.
   const Study& add_study(std::string name, OracleSnapshot snapshot);
 
   /// load()s `path` and add_study()s it; the content checksum is computed
@@ -108,29 +96,6 @@ class StudyCatalog {
     return studies_;
   }
 
-  /// The shared arena behind every study's OracleIndex::paths().
-  const PathTable& paths() const { return arena_; }
-
-  struct ArenaStats {
-    std::size_t arena_paths = 0;  ///< Nodes in the shared table.
-    std::size_t sum_study_paths = 0;  ///< Sum of pre-merge node counts.
-    /// Fraction of per-study nodes deduplicated away by sharing (0 with at
-    /// most one study's worth of paths).
-    double sharing() const {
-      return sum_study_paths == 0
-                 ? 0.0
-                 : 1.0 - double(arena_paths) / double(sum_study_paths);
-    }
-  };
-  ArenaStats arena_stats() const;
-
-  /// Redistributes the shared cache budget: each study's quota becomes the
-  /// floor plus a share of the remainder proportional to its lifetime cache
-  /// hit rate (even split while no study has traffic). Trims LRU tails of
-  /// shrunken studies immediately. Safe concurrently with queries —
-  /// answers never change, only cache latency.
-  void rebalance_cache() const;
-
   struct CacheBudgetView {
     struct PerStudy {
       std::string name;
@@ -143,11 +108,7 @@ class StudyCatalog {
   CacheBudgetView cache_budget() const;
 
  private:
-  /// Even split of the budget, respecting the floor where possible.
-  std::size_t even_quota() const;
-
   StudyCatalogConfig config_;
-  PathTable arena_;
   std::vector<std::unique_ptr<Study>> studies_;
 };
 

@@ -1,21 +1,18 @@
-// OracleService determinism and backpressure tests.
+// OracleService determinism tests.
 //
-// Determinism: the same query stream must render byte-identically whether it
-// is served by the deterministic manual-drain mode (worker_threads == 0) or
-// by 2 or 4 concurrent workers — responses are pure functions of the index,
-// so interleaving and cache state must never leak into an answer. Run under
-// IRP_SANITIZE=thread this doubles as the data-race check for the whole
-// serve layer.
-//
-// Backpressure: a full queue rejects immediately (exact counts in the
-// deterministic mode), and every accepted request is answered — including
-// the burst case with live workers and during shutdown.
+// The same query stream must render byte-identically whether it is answered
+// serially through the uncounted answer() or by four threads calling the
+// counted serve() at once — responses are pure functions of the study
+// image, so interleaving and cache state must never leak into an answer.
+// Run under IRP_SANITIZE=thread this doubles as the data-race check for the
+// whole serve layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "serve/oracle_service.hpp"
@@ -27,8 +24,6 @@ namespace {
 struct OracleFixture {
   std::unique_ptr<GeneratedInternet> net;
   PassiveDataset passive;
-  OracleSnapshot snapshot;
-  std::unique_ptr<OracleIndex> index;
   std::vector<OracleRequest> queries;
 };
 
@@ -37,8 +32,6 @@ const OracleFixture& fixture() {
     OracleFixture f;
     f.net = generate_internet(test::small_generator_config());
     f.passive = run_passive_study(*f.net, test::small_passive_config());
-    f.snapshot = snapshot_study(f.passive);
-    f.index = std::make_unique<OracleIndex>(&f.snapshot);
 
     // A mixed stream touching all four query classes, derived
     // deterministically from the study itself.
@@ -63,147 +56,69 @@ const OracleFixture& fixture() {
   return fx;
 }
 
-/// Serves the whole stream on `workers` threads and renders every response
-/// (in submission order) into one string.
-std::string run_stream(int workers) {
-  const OracleFixture& f = fixture();
-  OracleService::Config config;
-  config.worker_threads = workers;
-  config.queue_capacity = f.queries.size() + 1;
-  OracleService service(f.index.get(), config);
+/// A fresh catalog of one over the fixture's study.
+std::unique_ptr<StudyCatalog> make_catalog() {
+  auto catalog = std::make_unique<StudyCatalog>();
+  catalog->add_study("default", snapshot_study(fixture().passive));
+  return catalog;
+}
 
-  std::vector<OracleService::Submitted> submitted;
-  submitted.reserve(f.queries.size());
-  for (const OracleRequest& request : f.queries)
-    submitted.push_back(service.submit(request));
-  if (workers == 0) service.drain();
-
-  std::string rendered;
-  for (OracleService::Submitted& s : submitted) {
-    EXPECT_TRUE(s.accepted);
-    rendered += to_text(s.response.get());
-    rendered += '\n';
-  }
-
-  const OracleStatsView stats = service.stats();
-  EXPECT_EQ(stats.served, f.queries.size());
-  EXPECT_EQ(stats.rejected, 0u);
-  return rendered;
+/// Serves the whole stream from `threads` threads at once (thread t takes
+/// every threads-th query from t) and renders every response, in stream
+/// order, into one string.
+std::string serve_concurrently(OracleService& service, int threads) {
+  const std::vector<OracleRequest>& queries = fixture().queries;
+  std::vector<std::string> rendered(queries.size());
+  std::vector<std::thread> pool;
+  for (int t = 0; t < threads; ++t)
+    pool.emplace_back([&, t] {
+      for (std::size_t i = t; i < queries.size(); i += threads)
+        rendered[i] = to_text(service.serve(queries[i], ""));
+    });
+  for (std::thread& thread : pool) thread.join();
+  std::string out;
+  for (const std::string& line : rendered) out += line + '\n';
+  return out;
 }
 
 TEST(OracleDeterminism, ConcurrentAnswersAreByteIdenticalToSerial) {
-  ASSERT_GT(fixture().queries.size(), 100u);
-  const std::string serial = run_stream(0);
-  EXPECT_EQ(run_stream(2), serial);
-  EXPECT_EQ(run_stream(4), serial);
+  const OracleFixture& f = fixture();
+  ASSERT_GT(f.queries.size(), 100u);
+  auto catalog = make_catalog();
+  OracleService service(catalog.get());
+
+  std::string serial;
+  for (const OracleRequest& request : f.queries)
+    serial += to_text(service.answer(request, "")) + '\n';
+
+  EXPECT_EQ(serve_concurrently(service, 4), serial);
   // And a repeat with warm caches must not change a byte either.
-  EXPECT_EQ(run_stream(2), serial);
-}
+  EXPECT_EQ(serve_concurrently(service, 4), serial);
 
-TEST(OracleDeterminism, AnswerBypassMatchesWorkerPath) {
-  const OracleFixture& f = fixture();
-  OracleService::Config config;
-  config.worker_threads = 1;
-  config.queue_capacity = f.queries.size();
-  OracleService service(f.index.get(), config);
-  for (std::size_t i = 0; i < 50 && i < f.queries.size(); ++i) {
-    OracleService::Submitted s = service.submit(f.queries[i]);
-    ASSERT_TRUE(s.accepted);
-    EXPECT_EQ(to_text(s.response.get()), to_text(service.answer(f.queries[i])));
-  }
-}
-
-TEST(OracleBackpressure, DeterministicModeRejectsExactOverflow) {
-  const OracleFixture& f = fixture();
-  constexpr std::size_t kCapacity = 8;
-  constexpr std::size_t kSubmitted = 13;
-  OracleService::Config config;
-  config.worker_threads = 0;  // Nothing drains until we say so.
-  config.queue_capacity = kCapacity;
-  OracleService service(f.index.get(), config);
-
-  std::vector<OracleService::Submitted> submitted;
-  for (std::size_t i = 0; i < kSubmitted; ++i)
-    submitted.push_back(service.submit(f.queries[i % f.queries.size()]));
-
-  std::size_t accepted = 0;
-  for (std::size_t i = 0; i < submitted.size(); ++i) {
-    if (submitted[i].accepted) ++accepted;
-    // Admission is strictly FIFO: the first kCapacity are in, the rest out.
-    EXPECT_EQ(submitted[i].accepted, i < kCapacity) << "submission " << i;
-  }
-  EXPECT_EQ(accepted, kCapacity);
-
-  OracleStatsView stats = service.stats();
-  EXPECT_EQ(stats.rejected, kSubmitted - kCapacity);
-  EXPECT_EQ(stats.served, 0u);  // Nothing ran yet.
-  EXPECT_EQ(stats.peak_queue_depth, kCapacity);
-
-  // Draining serves exactly the accepted requests, in order.
-  EXPECT_EQ(service.drain(), kCapacity);
-  for (auto& s : submitted)
-    if (s.accepted) EXPECT_TRUE(s.response.valid());
-  stats = service.stats();
-  EXPECT_EQ(stats.served, kCapacity);
-
-  // Capacity freed: submission works again.
-  EXPECT_TRUE(service.submit(f.queries[0]).accepted);
-}
-
-TEST(OracleBackpressure, BurstAgainstWorkersShedsButNeverStalls) {
-  const OracleFixture& f = fixture();
-  OracleService::Config config;
-  config.worker_threads = 2;
-  config.queue_capacity = 16;
-  OracleService service(f.index.get(), config);
-
-  std::vector<std::future<OracleResponse>> accepted;
-  std::size_t rejected = 0;
-  for (std::size_t i = 0; i < 500; ++i) {
-    OracleService::Submitted s = service.submit(f.queries[i % f.queries.size()]);
-    if (s.accepted)
-      accepted.push_back(std::move(s.response));
-    else
-      ++rejected;
-  }
-  // Every accepted request completes; none is dropped or stuck.
-  for (auto& future : accepted) (void)future.get();
-
+  // Every concurrent request was counted once; answer() counted none.
   const OracleStatsView stats = service.stats();
-  EXPECT_EQ(stats.served, accepted.size());
-  EXPECT_EQ(stats.rejected, rejected);
-  EXPECT_LE(stats.peak_queue_depth, config.queue_capacity);
+  EXPECT_EQ(stats.served, 2 * f.queries.size());
+  ASSERT_EQ(stats.per_study.size(), 1u);
+  EXPECT_EQ(stats.per_study[0].served, 2 * f.queries.size());
 }
 
-TEST(OracleBackpressure, ShutdownServesAcceptedWorkThenRejects) {
+TEST(OracleDeterminism, AnswerBypassMatchesServe) {
   const OracleFixture& f = fixture();
-  OracleService::Config config;
-  config.worker_threads = 2;
-  config.queue_capacity = 64;
-  auto service = std::make_unique<OracleService>(f.index.get(), config);
-
-  std::vector<std::future<OracleResponse>> accepted;
-  for (std::size_t i = 0; i < 64; ++i) {
-    OracleService::Submitted s =
-        service->submit(f.queries[i % f.queries.size()]);
-    if (s.accepted) accepted.push_back(std::move(s.response));
-  }
-  service->shutdown();
-  // Accepted-implies-answered holds across shutdown.
-  for (auto& future : accepted) (void)future.get();
-  // After shutdown, everything is shed.
-  EXPECT_FALSE(service->submit(f.queries[0]).accepted);
-  service.reset();  // Destructor after explicit shutdown is a no-op.
+  auto catalog = make_catalog();
+  OracleService service(catalog.get());
+  for (std::size_t i = 0; i < 50 && i < f.queries.size(); ++i)
+    EXPECT_EQ(to_text(service.serve(f.queries[i], "")),
+              to_text(service.answer(f.queries[i], "")));
+  EXPECT_EQ(service.stats().served, std::min<std::size_t>(50, f.queries.size()));
 }
 
 TEST(OracleStats, HistogramAndCountersTrackServing) {
   const OracleFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{0, 4096});
+  auto catalog = make_catalog();
+  OracleService service(catalog.get());
   constexpr std::size_t kN = 200;
-  std::vector<OracleService::Submitted> submitted;
   for (std::size_t i = 0; i < kN; ++i)
-    submitted.push_back(service.submit(f.queries[i % f.queries.size()]));
-  service.drain();
+    (void)service.serve(f.queries[i % f.queries.size()], "");
 
   const OracleStatsView stats = service.stats();
   EXPECT_EQ(stats.served, kN);

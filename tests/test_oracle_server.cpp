@@ -42,8 +42,7 @@ namespace {
 struct ServerFixture {
   std::unique_ptr<GeneratedInternet> net;
   PassiveDataset passive;
-  OracleSnapshot snapshot;
-  std::unique_ptr<OracleIndex> index;
+  std::unique_ptr<StudyCatalog> catalog;  ///< A catalog of one.
   std::vector<OracleRequest> queries;
 };
 
@@ -52,8 +51,8 @@ const ServerFixture& fixture() {
     ServerFixture f;
     f.net = generate_internet(test::small_generator_config());
     f.passive = run_passive_study(*f.net, test::small_passive_config());
-    f.snapshot = snapshot_study(f.passive);
-    f.index = std::make_unique<OracleIndex>(&f.snapshot);
+    f.catalog = std::make_unique<StudyCatalog>();
+    f.catalog->add_study("default", snapshot_study(f.passive));
 
     const auto& decisions = f.passive.decisions;
     const auto scenarios = figure1_scenarios();
@@ -168,7 +167,7 @@ WireError expect_error_frame(const WireFrame& frame) {
 TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
   const ServerFixture& f = fixture();
   ASSERT_GT(f.queries.size(), 100u);
-  OracleService service(f.index.get(), OracleService::Config{2, 1024});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -176,7 +175,7 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
   cc.port = server.port();
   OracleClient client(cc);
   for (const OracleRequest& request : f.queries)
-    EXPECT_EQ(to_text(client.call(request)), to_text(service.answer(request)));
+    EXPECT_EQ(to_text(client.call(request)), to_text(service.answer(request, "")));
 
   // The wire counters describe exactly this workload. to_text() above ran
   // each query a second time locally, so compare against the server's view.
@@ -186,7 +185,6 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
   EXPECT_EQ(stats.frames_in, f.queries.size());
   EXPECT_EQ(stats.frames_out, f.queries.size());
   EXPECT_EQ(stats.requests_admitted, f.queries.size());
-  EXPECT_EQ(stats.requests_shed, 0u);
   EXPECT_EQ(stats.decode_errors, 0u);
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
@@ -199,23 +197,25 @@ TEST(OracleServerE2E, RemoteAnswersAreByteIdenticalToLocalSerial) {
     }
   }
   EXPECT_EQ(answered, f.queries.size());
+  // Every wire request went through the counted serve() path; the local
+  // answer() calls above are uncounted.
+  EXPECT_EQ(service.stats().served, f.queries.size());
 
   server.shutdown();
-  service.shutdown();
 }
 
 TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{4, 256});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
   const std::uint16_t port = server.port();
 
-  // Local ground truth first, so worker threads only compare strings.
+  // Local ground truth first, so client threads only compare strings.
   std::vector<std::string> expected;
   expected.reserve(f.queries.size());
   for (const OracleRequest& request : f.queries)
-    expected.push_back(to_text(service.answer(request)));
+    expected.push_back(to_text(service.answer(request, "")));
 
   constexpr int kClients = 4;
   std::vector<std::thread> threads;
@@ -238,43 +238,13 @@ TEST(OracleServerE2E, ConcurrentClientsStayByteIdentical) {
   EXPECT_EQ(stats.decode_errors, 0u);
 
   server.shutdown();
-  service.shutdown();
 }
 
-// -- Run to completion: the server answers on its poll thread, so it needs
-// no service workers, and overload is TCP backpressure, never a shed.
-
-TEST(OracleServerE2E, RunsWithoutServiceWorkers) {
-  const ServerFixture& f = fixture();
-  // No workers, never drained: a queued request would wait forever.
-  OracleService service(f.index.get(), OracleService::Config{0, 1});
-  OracleServer server(&service);
-  server.start();
-
-  OracleClient::Config cc;
-  cc.port = server.port();
-  cc.max_retries = 0;
-  OracleClient client(cc);
-  constexpr std::size_t kCalls = 50;
-  for (std::size_t i = 0; i < kCalls; ++i)
-    EXPECT_EQ(to_text(client.call(f.queries[i])),
-              to_text(service.answer(f.queries[i])));
-
-  // Every wire request went through the counted path, none through the
-  // queue.
-  const OracleStatsView stats = service.stats();
-  EXPECT_EQ(stats.served, kCalls);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.peak_queue_depth, 0u);
-  EXPECT_EQ(server.stats().requests_admitted, kCalls);
-
-  server.shutdown();
-  service.shutdown();
-}
+// -- Overload is TCP backpressure, never a shed.
 
 TEST(OracleServerE2E, FloodingClientIsThrottledNotShed) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{0, 1});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -284,14 +254,14 @@ TEST(OracleServerE2E, FloodingClientIsThrottledNotShed) {
   std::size_t reply_bytes = 0;
   for (const OracleRequest& q : f.queries) {
     if (!std::holds_alternative<AlternateRoutesRequest>(q)) continue;
-    const std::size_t bytes = encode_response(0, service.answer(q)).size();
+    const std::size_t bytes = encode_response(0, service.answer(q, "")).size();
     if (bytes > reply_bytes) {
       reply_bytes = bytes;
       request = q;
     }
   }
   ASSERT_GT(reply_bytes, encode_request(0, request).size());
-  const std::string expected = to_text(service.answer(request));
+  const std::string expected = to_text(service.answer(request, ""));
 
   // Pipeline without reading until the server stops reading too: sends
   // stay blocked once the unsent-bytes cap and every socket buffer on the
@@ -344,7 +314,7 @@ TEST(OracleServerE2E, FloodingClientIsThrottledNotShed) {
     OracleClient other(cc);
     for (std::size_t i = 0; i < 20; ++i)
       EXPECT_EQ(to_text(other.call(f.queries[i])),
-                to_text(service.answer(f.queries[i])));
+                to_text(service.answer(f.queries[i], "")));
   }
 
   // The flooder now reads (and sends the tail of its last batch): every
@@ -385,18 +355,16 @@ TEST(OracleServerE2E, FloodingClientIsThrottledNotShed) {
 
   server.shutdown();
   stats = server.stats();
-  EXPECT_EQ(stats.requests_shed, 0u);
   EXPECT_EQ(stats.frames_in, frames + 20);
   EXPECT_EQ(stats.frames_out, stats.frames_in);
   EXPECT_EQ(stats.requests_admitted, frames + 20);
-  service.shutdown();
 }
 
 // -- Malformed input.
 
 TEST(OracleServerE2E, GarbageBytesPoisonOnlyThatConnection) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -416,16 +384,15 @@ TEST(OracleServerE2E, GarbageBytesPoisonOnlyThatConnection) {
   cc.port = server.port();
   OracleClient client(cc);
   EXPECT_EQ(to_text(client.call(f.queries[0])),
-            to_text(service.answer(f.queries[0])));
+            to_text(service.answer(f.queries[0], "")));
   EXPECT_GE(server.stats().decode_errors, 1u);
 
   server.shutdown();
-  service.shutdown();
 }
 
 TEST(OracleServerE2E, MalformedPayloadKeepsConnectionAlive) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -458,12 +425,11 @@ TEST(OracleServerE2E, MalformedPayloadKeepsConnectionAlive) {
 
   ::close(fd);
   server.shutdown();
-  service.shutdown();
 }
 
 TEST(OracleServerE2E, OversizedClaimAgainstServerLimitClosesConnection) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  OracleService service(f.catalog.get());
   OracleServer::Config sc;
   sc.max_frame_payload = 16;  // Tighter than the protocol-wide bound.
   OracleServer server(&service, sc);
@@ -496,14 +462,13 @@ TEST(OracleServerE2E, OversizedClaimAgainstServerLimitClosesConnection) {
   ::close(fd);
 
   server.shutdown();
-  service.shutdown();
 }
 
 // -- Connection management.
 
 TEST(OracleServerE2E, ConnectionsOverCapAreRefused) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  OracleService service(f.catalog.get());
   OracleServer::Config sc;
   sc.max_connections = 1;
   OracleServer server(&service, sc);
@@ -525,12 +490,11 @@ TEST(OracleServerE2E, ConnectionsOverCapAreRefused) {
   ::close(first);
 
   server.shutdown();
-  service.shutdown();
 }
 
 TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{1, 64});
+  OracleService service(f.catalog.get());
   auto server = std::make_unique<OracleServer>(&service);
   server->start();
   const std::uint16_t port = server->port();
@@ -541,7 +505,7 @@ TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
   {
     OracleClient client(cc);
     EXPECT_EQ(to_text(client.call(f.queries[0])),
-              to_text(service.answer(f.queries[0])));
+              to_text(service.answer(f.queries[0], "")));
   }
   server->shutdown();
   EXPECT_EQ(server->stats().connections_closed,
@@ -557,7 +521,6 @@ TEST(OracleServerE2E, ShutdownDrainsThenRefusesNewConnections) {
   }
 
   server.reset();  // Destructor after explicit shutdown is a no-op.
-  service.shutdown();
 }
 
 // -- EINTR injection: client calls must survive interrupted syscalls.
@@ -567,7 +530,7 @@ void count_sigusr1(int) { g_sigusr1_count.fetch_add(1); }
 
 TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   const ServerFixture& f = fixture();
-  OracleService service(f.index.get(), OracleService::Config{2, 256});
+  OracleService service(f.catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -578,7 +541,7 @@ TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   // Establish the connection before the signal storm starts; the EINTR
   // contract under test is send_all/read_frame, not the connect handshake.
   ASSERT_EQ(to_text(client.call(f.queries[0])),
-            to_text(service.answer(f.queries[0])));
+            to_text(service.answer(f.queries[0], "")));
 
   // A handler installed WITHOUT SA_RESTART makes every signal delivery fail
   // the interrupted syscall with EINTR instead of restarting it.
@@ -602,7 +565,7 @@ TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   int mismatches = 0;
   for (int round = 0; round < 2; ++round)
     for (const OracleRequest& request : f.queries)
-      if (to_text(client.call(request)) != to_text(service.answer(request)))
+      if (to_text(client.call(request)) != to_text(service.answer(request, "")))
         ++mismatches;
   EXPECT_EQ(mismatches, 0);
 
@@ -613,7 +576,6 @@ TEST(OracleClientRobustness, CallsSurviveInterruptedSyscalls) {
   EXPECT_GT(g_sigusr1_count.load(), 100);
 
   server.shutdown();
-  service.shutdown();
 }
 
 // -- Client failure taxonomy, without any OracleServer at all.

@@ -67,9 +67,10 @@ TEST(OracleSnapshot, FileRoundTrip) {
 
 TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
   const StudyFixture& f = study();
-  const OracleSnapshot loaded = OracleSnapshot::from_bytes(f.bytes);
-  const OracleIndex index(&loaded);
-  OracleService service(&index, OracleService::Config{0, 1});
+  StudyCatalog catalog;
+  const StudyCatalog::Study& study =
+      catalog.add_study("default", OracleSnapshot::from_bytes(f.bytes));
+  const OracleService service(&catalog);
 
   const PassiveDataset& ds = f.passive;
   const DecisionClassifier live(&ds.inferred, f.net->topology.num_ases(),
@@ -81,7 +82,7 @@ TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
       ClassifyRequest req;
       req.decision = d;
       req.scenario = scenario.options;
-      const OracleResponse resp = service.answer(OracleRequest{req});
+      const OracleResponse resp = service.answer(OracleRequest{req}, "");
       ASSERT_EQ(std::get<ClassifyResponse>(resp).category, expected)
           << scenario.name << " decision " << checked;
       ++checked;
@@ -90,7 +91,7 @@ TEST(OracleSnapshot, ClassifiesIdenticallyToLiveStudy) {
   EXPECT_GT(checked, 0u);
   // The second pass through identical keys must have produced cache hits
   // without changing a single answer (asserted above).
-  EXPECT_GT(index.cache_stats().hits, 0u);
+  EXPECT_GT(study.index->cache_stats().hits, 0u);
 }
 
 TEST(OracleSnapshot, RoutesMatchTheLiveEngine) {

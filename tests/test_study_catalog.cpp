@@ -4,12 +4,13 @@
 // The headline guarantee is byte identity for N=3: every query answered by
 // the catalog-backed service — locally and over the wire with the
 // version-2 study flag — renders to exactly the text a dedicated
-// single-study service produces for the same snapshot. On top of that:
-// pre-multi-study (version 1) clients keep working against the default
-// study; unknown study ids reject with the typed error at every layer
-// (answer/submit/wire); the shared classify-cache budget is enforced and
-// rebalances toward hot studies; the shared path arena deduplicates
-// identical studies; and the whole stack is exercised under concurrent
+// single-study service (a catalog of one) produces for the same snapshot.
+// On top of that: every hosted study is exactly its image (the checksum in
+// its id, PathIds inside its own path table, answers that materialize from
+// it); pre-multi-study (version 1) clients keep working against the
+// default study; unknown study ids reject with the typed error at every
+// layer (answer/serve/wire); the shared classify-cache budget is split
+// evenly and enforced; and the whole stack is exercised under concurrent
 // multi-study load (the TSan target for this subsystem).
 #include <gtest/gtest.h>
 
@@ -20,12 +21,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "serve/byte_io.hpp"
 #include "serve/oracle_client.hpp"
 #include "serve/oracle_server.hpp"
 #include "serve/oracle_service.hpp"
@@ -41,8 +44,8 @@ constexpr const char* kNames[3] = {"epoch-a", "epoch-b", "epoch-c"};
 struct StudyFixture {
   std::unique_ptr<GeneratedInternet> net;
   PassiveDataset passive;
-  OracleSnapshot snapshot;  ///< Baseline copy with its own path table.
-  std::unique_ptr<OracleIndex> index;
+  /// The single-study ground truth: a catalog of one holding this study.
+  std::unique_ptr<StudyCatalog> single;
   std::vector<OracleRequest> queries;
 };
 
@@ -50,8 +53,8 @@ StudyFixture make_fixture(std::uint64_t seed) {
   StudyFixture f;
   f.net = generate_internet(test::small_generator_config(seed));
   f.passive = run_passive_study(*f.net, test::small_passive_config());
-  f.snapshot = snapshot_study(f.passive);
-  f.index = std::make_unique<OracleIndex>(&f.snapshot);
+  f.single = std::make_unique<StudyCatalog>();
+  f.single->add_study("default", snapshot_study(f.passive));
 
   const auto& decisions = f.passive.decisions;
   const auto scenarios = figure1_scenarios();
@@ -83,8 +86,8 @@ const std::array<StudyFixture, 3>& fixtures() {
   return fx;
 }
 
-/// Fresh catalog over the three fixtures (fresh snapshot copies, since
-/// add_study remaps route PathIds into the shared arena).
+/// Fresh catalog over the three fixtures (fresh caches, so hit counts start
+/// at zero).
 std::unique_ptr<StudyCatalog> make_catalog(StudyCatalogConfig config = {}) {
   auto catalog = std::make_unique<StudyCatalog>(config);
   for (int s = 0; s < 3; ++s)
@@ -185,127 +188,112 @@ TEST(StudyCatalog, RejectsBadAndDuplicateNames) {
   EXPECT_EQ(catalog.size(), 1u);
 }
 
+// -- A study is its image.
+
+/// Every PathId a study's routes hold lies inside that study's own path
+/// table, and the AlternateRoutes answer is exactly the path it names.
+void expect_routes_resolve_in_own_table(const OracleService& service,
+                                        const StudyCatalog::Study& study) {
+  const OracleSnapshot& snap = study.snapshot;
+  const PathId num_paths = snap.paths.num_paths();
+  std::size_t checked = 0;
+  for (const OracleSnapshot::PrefixRoutes& pr : snap.routes) {
+    for (const OracleSnapshot::RouteEntry& entry : pr.entries) {
+      ASSERT_LT(entry.selected, num_paths) << study.name;
+      for (const OracleSnapshot::AlternateRoute& alt : entry.alternates)
+        ASSERT_LT(alt.path, num_paths) << study.name;
+      const auto resp = std::get<AlternateRoutesResponse>(service.answer(
+          AlternateRoutesRequest{entry.asn, pr.prefix}, study.name));
+      ASSERT_TRUE(resp.has_route);
+      EXPECT_EQ(resp.selected, snap.paths.materialize(entry.selected))
+          << study.name;
+      ASSERT_EQ(resp.alternates.size(), entry.alternates.size());
+      for (std::size_t i = 0; i < entry.alternates.size(); ++i)
+        EXPECT_EQ(resp.alternates[i].path,
+                  snap.paths.materialize(entry.alternates[i].path))
+            << study.name;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u) << study.name;
+}
+
+std::string id_checksum(const StudyCatalog::Study& study) {
+  return study.id.substr(study.name.size() + 1);
+}
+
+TEST(StudyCatalog, StudyIsItsImage) {
+  auto catalog = make_catalog();
+  const OracleService service(catalog.get());
+  for (const auto& study : catalog->studies()) {
+    // The held snapshot re-serializes to the very image the id checksums.
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a64(study->snapshot.to_bytes())));
+    EXPECT_EQ(id_checksum(*study), hex) << study->name;
+    expect_routes_resolve_in_own_table(service, *study);
+  }
+
+  // Identical content under two names: one checksum, identical answers.
+  StudyCatalog twins;
+  twins.add_study("epoch-a", snapshot_study(fixtures()[0].passive));
+  twins.add_study("epoch-a2", snapshot_study(fixtures()[0].passive));
+  EXPECT_EQ(id_checksum(*twins.studies()[0]), id_checksum(*twins.studies()[1]));
+  const OracleService twin_service(&twins);
+  expect_routes_resolve_in_own_table(twin_service, *twins.studies()[1]);
+  const StudyFixture& f = fixtures()[0];
+  for (std::size_t i = 0; i < f.queries.size(); i += 13)
+    EXPECT_EQ(to_text(twin_service.answer(f.queries[i], "epoch-a")),
+              to_text(twin_service.answer(f.queries[i], "epoch-a2")));
+}
+
 // -- Byte identity: the catalog answers exactly like N dedicated oracles.
 
 TEST(StudyCatalog, ThreeStudyServiceMatchesSingleStudyServicesLocally) {
   auto catalog = make_catalog();
-  OracleService multi(catalog.get(), OracleService::Config{0, 4096});
+  OracleService multi(catalog.get());
 
   for (int s = 0; s < 3; ++s) {
     const StudyFixture& f = fixtures()[s];
-    OracleService single(f.index.get(), OracleService::Config{0, 1});
+    const OracleService single(f.single.get());
     for (const OracleRequest& request : f.queries)
       EXPECT_EQ(to_text(multi.answer(request, kNames[s])),
-                to_text(single.answer(request)))
+                to_text(single.answer(request, "")))
           << "study " << kNames[s];
   }
 
-  // Per-study accounting: the queued path (answer() is a synchronous
-  // bypass and deliberately does not count as "served", unlike serve())
-  // routes each submission to the right study slot.
-  std::vector<std::future<OracleResponse>> responses;
-  std::array<std::size_t, 3> submitted{};
+  // Per-study accounting: answer() is the uncounted bypass, serve() counts
+  // each request against the study it names.
+  std::array<std::size_t, 3> served{};
   for (int s = 0; s < 3; ++s) {
     const StudyFixture& f = fixtures()[s];
     for (std::size_t i = 0; i < f.queries.size(); i += 10) {
-      OracleService::Submitted sub = multi.submit(f.queries[i], kNames[s]);
-      ASSERT_TRUE(sub.accepted);
-      responses.push_back(std::move(sub.response));
-      ++submitted[s];
+      EXPECT_EQ(to_text(multi.serve(f.queries[i], kNames[s])),
+                to_text(multi.answer(f.queries[i], kNames[s])));
+      ++served[s];
     }
   }
-  const std::size_t total = submitted[0] + submitted[1] + submitted[2];
-  EXPECT_EQ(multi.drain(), total);
-  for (auto& response : responses) (void)response.get();
 
   const OracleStatsView stats = multi.stats();
-  EXPECT_EQ(stats.served, total);
+  EXPECT_EQ(stats.served, served[0] + served[1] + served[2]);
   ASSERT_EQ(stats.per_study.size(), 3u);
   for (int s = 0; s < 3; ++s) {
     EXPECT_EQ(stats.per_study[s].name, kNames[s]);
-    EXPECT_EQ(stats.per_study[s].served, submitted[s]);
+    EXPECT_EQ(stats.per_study[s].served, served[s]);
   }
-}
-
-// -- One accounting path: serve() (the wire's entry point) and the queue
-// count the same stream identically, rebalancing included.
-
-TEST(StudyCatalog, ServeAndQueueCountIdentically) {
-  StudyCatalogConfig catalog_config;
-  catalog_config.total_cache_capacity = 240;
-  catalog_config.min_study_cache_quota = 32;
-  OracleService::Config config{0, 1u << 16};
-  config.cache_rebalance_every = 64;
-
-  // epoch-a runs hot (its classify stream twice); the others once, sparse.
-  std::vector<std::pair<OracleRequest, std::string>> stream;
-  for (int round = 0; round < 2; ++round)
-    for (const OracleRequest& request : fixtures()[0].queries)
-      stream.emplace_back(request, kNames[0]);
-  for (int s = 1; s < 3; ++s)
-    for (std::size_t i = 0; i < fixtures()[s].queries.size(); i += 5)
-      stream.emplace_back(fixtures()[s].queries[i], kNames[s]);
-  stream.emplace_back(OracleRequest{RelationshipLookupRequest{1, 2}}, "nope");
-
-  auto direct_catalog = make_catalog(catalog_config);
-  OracleService direct(direct_catalog.get(), config);
-  std::vector<std::string> direct_answers;
-  for (const auto& [request, study] : stream) {
-    try {
-      direct_answers.push_back(to_text(direct.serve(request, study)));
-    } catch (const UnknownStudyError&) {
-      direct_answers.push_back("unknown");
-    }
-  }
-
-  auto queued_catalog = make_catalog(catalog_config);
-  OracleService queued(queued_catalog.get(), config);
-  std::vector<OracleService::Submitted> submitted;
-  for (const auto& [request, study] : stream)
-    submitted.push_back(queued.submit(request, study));
-  EXPECT_EQ(queued.drain(), stream.size() - 1);
-  std::vector<std::string> queued_answers;
-  for (OracleService::Submitted& sub : submitted)
-    queued_answers.push_back(sub.accepted ? to_text(sub.response.get())
-                                          : "unknown");
-  EXPECT_EQ(direct_answers, queued_answers);
-
-  const OracleStatsView a = direct.stats();
-  const OracleStatsView b = queued.stats();
-  EXPECT_EQ(a.served, stream.size() - 1);
-  EXPECT_EQ(a.served, b.served);
-  EXPECT_EQ(a.unknown_study, 1u);
-  EXPECT_EQ(a.unknown_study, b.unknown_study);
-  EXPECT_EQ(a.peak_queue_depth, 0u);  // serve() never touches the queue.
-  for (int t = 0; t < kNumQueryTypes; ++t)
-    EXPECT_EQ(a.per_type[t].served, b.per_type[t].served) << "type " << t;
-  ASSERT_EQ(a.per_study.size(), 3u);
-  ASSERT_EQ(b.per_study.size(), 3u);
-  for (int s = 0; s < 3; ++s) {
-    EXPECT_EQ(a.per_study[s].served, b.per_study[s].served) << kNames[s];
-    EXPECT_EQ(a.per_study[s].cache.hits, b.per_study[s].cache.hits);
-    EXPECT_EQ(a.per_study[s].cache.misses, b.per_study[s].cache.misses);
-  }
-
-  // Both paths drove the periodic rebalance to the same quotas, away from
-  // the even split at load.
-  const StudyCatalog::CacheBudgetView qa = direct_catalog->cache_budget();
-  const StudyCatalog::CacheBudgetView qb = queued_catalog->cache_budget();
-  for (int s = 0; s < 3; ++s)
-    EXPECT_EQ(qa.per_study[s].quota, qb.per_study[s].quota) << kNames[s];
-  EXPECT_GT(qa.per_study[0].quota, 80u);
 }
 
 TEST(StudyCatalog, ThreeStudyServerMatchesSingleStudyServersOverWire) {
   auto catalog = make_catalog();
-  OracleService multi_service(catalog.get(), OracleService::Config{2, 1024});
+  OracleService multi_service(catalog.get());
   OracleServer multi_server(&multi_service);
   multi_server.start();
 
   for (int s = 0; s < 3; ++s) {
     const StudyFixture& f = fixtures()[s];
     // The single-study ground truth, served by its own process-local stack.
-    OracleService single(f.index.get(), OracleService::Config{2, 1024});
+    OracleService single(f.single.get());
     OracleServer single_server(&single);
     single_server.start();
 
@@ -324,17 +312,15 @@ TEST(StudyCatalog, ThreeStudyServerMatchesSingleStudyServersOverWire) {
           << "study " << kNames[s];
 
     single_server.shutdown();
-    single.shutdown();
   }
 
   EXPECT_EQ(multi_server.stats().requests_unknown_study, 0u);
   multi_server.shutdown();
-  multi_service.shutdown();
 }
 
 TEST(StudyCatalog, Version1ClientGetsTheDefaultStudy) {
   auto catalog = make_catalog();
-  OracleService service(catalog.get(), OracleService::Config{2, 1024});
+  OracleService service(catalog.get());
   OracleServer server(&service);
   server.start();
 
@@ -353,20 +339,19 @@ TEST(StudyCatalog, Version1ClientGetsTheDefaultStudy) {
     const auto reply = decode_reply(*frame);
     ASSERT_TRUE(std::holds_alternative<OracleResponse>(reply));
     EXPECT_EQ(to_text(std::get<OracleResponse>(reply)),
-              to_text(service.answer(def.queries[i])));
+              to_text(service.answer(def.queries[i], "")));
     ++id;
   }
   ::close(fd);
 
   server.shutdown();
-  service.shutdown();
 }
 
 // -- Unknown studies reject with the typed error at every layer.
 
 TEST(StudyCatalog, UnknownStudyRejectsAtEveryLayer) {
   auto catalog = make_catalog();
-  OracleService service(catalog.get(), OracleService::Config{1, 64});
+  OracleService service(catalog.get());
   const OracleRequest request{RelationshipLookupRequest{1, 2}};
 
   // answer(): the typed exception carries the offending id.
@@ -377,14 +362,14 @@ TEST(StudyCatalog, UnknownStudyRejectsAtEveryLayer) {
     EXPECT_EQ(e.study(), "nope");
   }
 
-  // submit(): a typed rejection, not an overload.
-  OracleService::Submitted sub = service.submit(request, "nope");
-  EXPECT_FALSE(sub.accepted);
-  EXPECT_EQ(sub.reject, OracleService::Reject::kUnknownStudy);
+  // serve(): the same typed exception, counted but never served.
+  EXPECT_THROW((void)service.serve(request, "nope"), UnknownStudyError);
   EXPECT_EQ(service.stats().unknown_study, 2u);
+  EXPECT_EQ(service.stats().served, 0u);
 
   // Known studies are untouched by the failures above.
-  EXPECT_TRUE(service.submit(request, kNames[1]).accepted);
+  EXPECT_NO_THROW((void)service.serve(request, kNames[1]));
+  EXPECT_EQ(service.stats().served, 1u);
 
   // Wire: the client surfaces kUnknownStudy without retrying.
   OracleServer server(&service);
@@ -402,7 +387,6 @@ TEST(StudyCatalog, UnknownStudyRejectsAtEveryLayer) {
   EXPECT_EQ(server.stats().requests_unknown_study, 1u);
 
   server.shutdown();
-  service.shutdown();
 }
 
 // -- Shared classify-cache budget.
@@ -410,97 +394,49 @@ TEST(StudyCatalog, UnknownStudyRejectsAtEveryLayer) {
 TEST(StudyCatalog, CacheBudgetIsSharedAndEnforced) {
   StudyCatalogConfig config;
   config.total_cache_capacity = 240;
-  config.min_study_cache_quota = 32;
   auto catalog = make_catalog(config);
 
   // On load every study gets an even split of the budget.
   StudyCatalog::CacheBudgetView budget = catalog->cache_budget();
   EXPECT_EQ(budget.total_capacity, 240u);
   ASSERT_EQ(budget.per_study.size(), 3u);
-  std::size_t total_quota = 0;
-  for (const auto& per : budget.per_study) {
-    EXPECT_EQ(per.quota, 80u);
-    total_quota += per.quota;
-  }
-  EXPECT_LE(total_quota, config.total_cache_capacity);
+  for (const auto& per : budget.per_study) EXPECT_EQ(per.quota, 80u);
 
   // Make epoch-a hot: run its classify stream twice so it accrues hits,
   // while the others stay cold.
-  OracleService service(catalog.get(), OracleService::Config{0, 1});
+  const OracleService service(catalog.get());
   for (int round = 0; round < 2; ++round)
     for (const OracleRequest& request : fixtures()[0].queries)
       if (std::holds_alternative<ClassifyRequest>(request))
         (void)service.answer(request, kNames[0]);
 
   // Enforcement: no study's cache exceeds its quota even though the hot
-  // stream has far more distinct keys than the quota.
+  // stream has far more distinct keys than the quota, and traffic does not
+  // move the split.
   budget = catalog->cache_budget();
-  for (const auto& per : budget.per_study)
-    EXPECT_LE(per.stats.entries, per.stats.capacity) << per.name;
-  EXPECT_GT(budget.per_study[0].stats.hits, 0u);
-
-  // Rebalancing moves budget toward the hot study, keeps every study at or
-  // above the floor, and never exceeds the total.
-  catalog->rebalance_cache();
-  budget = catalog->cache_budget();
-  total_quota = 0;
   for (const auto& per : budget.per_study) {
-    EXPECT_GE(per.quota, config.min_study_cache_quota) << per.name;
-    total_quota += per.quota;
+    EXPECT_LE(per.stats.entries, per.stats.capacity) << per.name;
+    EXPECT_EQ(per.quota, 80u) << per.name;
   }
-  EXPECT_LE(total_quota, config.total_cache_capacity);
-  EXPECT_GT(budget.per_study[0].quota, budget.per_study[1].quota);
-  EXPECT_GT(budget.per_study[0].quota, budget.per_study[2].quota);
+  EXPECT_GT(budget.per_study[0].stats.hits, 0u);
 
   // The service's aggregate view reports the shared budget as capacity.
   const OracleStatsView stats = service.stats();
   EXPECT_EQ(stats.cache.capacity, config.total_cache_capacity);
 }
 
-// -- Shared path arena.
-
-TEST(StudyCatalog, ArenaDeduplicatesIdenticalStudies) {
-  // Two studies frozen from the same passive dataset: every path suffix of
-  // the second already lives in the arena, so sharing is ~100%.
-  StudyCatalog catalog;
-  catalog.add_study("epoch-a", snapshot_study(fixtures()[0].passive));
-  catalog.add_study("epoch-a2", snapshot_study(fixtures()[0].passive));
-
-  const StudyCatalog::ArenaStats arena = catalog.arena_stats();
-  EXPECT_EQ(arena.sum_study_paths, 2 * catalog.studies()[0]->own_paths);
-  EXPECT_EQ(arena.arena_paths, catalog.studies()[0]->own_paths);
-  EXPECT_NEAR(arena.sharing(), 0.5, 1e-9);
-
-  // Identical content, distinct names: both studies answer identically.
-  OracleService service(&catalog, OracleService::Config{0, 1});
-  const StudyFixture& f = fixtures()[0];
-  for (std::size_t i = 0; i < f.queries.size(); i += 13)
-    EXPECT_EQ(to_text(service.answer(f.queries[i], "epoch-a")),
-              to_text(service.answer(f.queries[i], "epoch-a2")));
-
-  // Distinct studies still share suffixes, just fewer of them.
-  auto three = make_catalog();
-  const StudyCatalog::ArenaStats mixed = three->arena_stats();
-  EXPECT_LT(mixed.arena_paths, mixed.sum_study_paths);
-  EXPECT_GT(mixed.sharing(), 0.0);
-}
-
 // -- Concurrency: the TSan target for the multi-study stack. Four clients
-// hammer different studies through one server while the cache budget is
-// rebalanced live.
+// hammer different studies through one server while a fifth thread reads
+// the service stats and the cache budget.
 
 TEST(StudyCatalog, ConcurrentMultiStudyLoadStaysByteIdentical) {
   auto catalog = make_catalog();
-  OracleService::Config sc;
-  sc.worker_threads = 4;
-  sc.queue_capacity = 1024;
-  sc.cache_rebalance_every = 64;  // Exercise live rebalancing under load.
-  OracleService service(catalog.get(), sc);
+  OracleService service(catalog.get());
   OracleServer server(&service);
   server.start();
   const std::uint16_t port = server.port();
 
-  // Ground truth first, so worker threads only compare strings.
+  // Ground truth first, so client threads only compare strings.
   std::array<std::vector<std::string>, 3> expected;
   for (int s = 0; s < 3; ++s)
     for (const OracleRequest& request : fixtures()[s].queries)
@@ -524,11 +460,10 @@ TEST(StudyCatalog, ConcurrentMultiStudyLoadStaysByteIdentical) {
       }
     });
   }
-  // A fifth thread rebalances and snapshots stats concurrently.
+  // A fifth thread snapshots stats and the cache budget concurrently.
   std::atomic<bool> done{false};
-  std::thread rebalancer([&] {
+  std::thread reader([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      catalog->rebalance_cache();
       (void)service.stats();
       (void)catalog->cache_budget();
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -536,14 +471,13 @@ TEST(StudyCatalog, ConcurrentMultiStudyLoadStaysByteIdentical) {
   });
   for (std::thread& thread : threads) thread.join();
   done.store(true);
-  rebalancer.join();
+  reader.join();
 
   for (int t = 0; t < kClients; ++t)
     EXPECT_EQ(mismatches[t], 0) << "client " << t;
   EXPECT_EQ(server.stats().requests_unknown_study, 0u);
 
   server.shutdown();
-  service.shutdown();
 }
 
 }  // namespace

@@ -4,10 +4,10 @@
 #
 # Registered as the `cli_args_check` ctest; takes the run_study_cli binary
 # as $1. Most cases below exercise a flag that was once parsed with
-# atoi/atoll/strtoul — "abc" became 0 workers, "-1" became huge, "12x"
-# became 12 — and assert the checked parser rejects it before any snapshot
-# is loaded or socket opened; the rest reject flag combinations that would
-# silently do nothing.
+# atoi/atoll/strtoul — "abc" became 0, "-1" became huge, "12x" became 12 —
+# and assert the checked parser rejects it before any snapshot is loaded or
+# socket opened; the rest reject flag combinations that would silently do
+# nothing, and flags the CLI does not have.
 #
 # Usage: tools/check_cli_args.sh build/examples/run_study_cli
 set -u
@@ -47,22 +47,15 @@ expect_usage "legacy --threads over range"  --threads 1000000
 expect_usage "snapshot --scale exponent"    snapshot --out /dev/null --scale 1e3
 expect_usage "snapshot --threads float"     snapshot --out /dev/null --threads 2.0
 
-# serve: pool and wire flags (parsed before any snapshot is loaded).
-expect_usage "serve --workers non-numeric"  serve --snapshot x --workers abc
-expect_usage "serve --workers zero"         serve --snapshot x --workers 0
-expect_usage "serve --workers exponent"     serve --snapshot x --workers 1e3
-expect_usage "serve --queue zero"           serve --snapshot x --queue 0
-expect_usage "serve --queue negative"       serve --snapshot x --queue -5
+# serve: wire and cache flags (parsed before any snapshot is loaded).
 expect_usage "serve --listen over 65535"    serve --snapshot x --listen 70000
 expect_usage "serve --listen non-numeric"   serve --snapshot x --listen http
 expect_usage "serve --cache-budget junk"    serve --snapshot x --cache-budget abc
 expect_usage "serve bad snapshot spec"      serve --snapshot =
 expect_usage "serve empty snapshot name"    serve --snapshot =file
 
-# serve --listen answers on its poll thread: flags that size the --queries
-# worker pool would silently do nothing there, so they are usage errors.
-expect_usage "serve --listen with --workers" serve --snapshot x --listen 0 --workers 2
-expect_usage "serve --listen with --queue"   serve --snapshot x --queue 8 --listen 0
+# serve --listen answers wire requests only; a --queries file would be
+# silently ignored there, so the combination is a usage error.
 expect_usage "serve --listen with --queries" serve --snapshot x --listen 0 --queries q
 
 # query: the --connect port (parsed before any socket is opened).
@@ -73,6 +66,9 @@ expect_usage "query --connect port range"   query --connect 127.0.0.1:99999
 # Unknown flags stay usage errors everywhere.
 expect_usage "legacy unknown flag"          --bogus
 expect_usage "serve unknown flag"           serve --snapshot x --bogus
+# serve has no worker pool or queue to size.
+expect_usage "serve --workers is unknown"   serve --snapshot x --workers 2
+expect_usage "serve --queue is unknown"     serve --snapshot x --queue 8
 
 # Sanity: a valid invocation must NOT exit 2 (it exits 1: missing file).
 "$bin" query --snapshot /nonexistent.snap </dev/null >/dev/null 2>&1
